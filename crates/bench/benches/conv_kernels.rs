@@ -28,10 +28,10 @@ use rescnn_hwsim::{CalibratedCostModel, CpuProfile, MeasuredSweepConfig, Measure
 use rescnn_models::{ModelKind, Network};
 use rescnn_tensor::{
     conv2d_direct, conv2d_im2col, conv2d_tiled, conv2d_winograd_f4_prepared,
-    conv2d_winograd_prepared, conv2d_with_algo, force_conv_algo, gemm_blocked, gemm_packed,
-    install_algo_calibration, num_threads, set_chain_mode, set_num_threads, tensor_range,
-    ChainMode, Conv2dParams, ConvAlgo, ConvEpilogue, ConvShapeKey, ConvTiling, FusedActivation,
-    GemmBlocking, MatDims, PreparedLayer, Shape, Tensor, WinogradFilter,
+    conv2d_winograd_prepared, conv2d_with_algo, gemm_blocked, gemm_packed, num_threads,
+    tensor_range, ChainMode, Conv2dParams, ConvAlgo, ConvEpilogue, ConvShapeKey, ConvTiling,
+    EngineContext, FusedActivation, GemmBlocking, MatDims, PreparedLayer, Shape, Tensor,
+    WinogradFilter,
 };
 
 /// The paper's inference-resolution ladder (§IV).
@@ -142,7 +142,6 @@ fn thread_sweep() -> Vec<usize> {
 }
 
 fn engine_benchmarks(c: &mut Criterion) {
-    let original_threads = num_threads();
     let mut group = c.benchmark_group("engine");
     group.sample_size(10);
 
@@ -158,20 +157,20 @@ fn engine_benchmarks(c: &mut Criterion) {
         })
     });
     for threads in thread_sweep() {
-        set_num_threads(threads);
-        group.bench_with_input(
-            BenchmarkId::new("gemm_packed_128x784x1152/threads", threads),
-            &threads,
-            |bench, _| {
-                let mut out = vec![0.0; dims.m * dims.n];
-                bench.iter(|| {
-                    out.fill(0.0);
-                    gemm_packed(dims, &a, &b, &mut out)
-                })
-            },
-        );
+        EngineContext::new().with_threads(threads).scope(|| {
+            group.bench_with_input(
+                BenchmarkId::new("gemm_packed_128x784x1152/threads", threads),
+                &threads,
+                |bench, _| {
+                    let mut out = vec![0.0; dims.m * dims.n];
+                    bench.iter(|| {
+                        out.fill(0.0);
+                        gemm_packed(dims, &a, &b, &mut out)
+                    })
+                },
+            );
+        });
     }
-    set_num_threads(original_threads);
 
     // Engine algorithms across the paper's resolution ladder. Channel counts are
     // ResNet-50 stage-1-like, scaled by resolution as in the paper's ladder.
@@ -279,27 +278,28 @@ fn winograd_benchmarks(c: &mut Criterion) {
 }
 
 /// The acceptance benchmark: ResNet-50-style forward at 224×224, engine vs the
-/// seed's im2col path (forced through the whole network via [`force_conv_algo`]).
+/// seed's im2col path (pinned through the whole network with
+/// [`EngineContext::with_algo`]).
 fn resnet50_forward(c: &mut Criterion) {
-    let original_threads = num_threads();
     let mut group = c.benchmark_group("resnet50_forward_224");
     group.sample_size(10);
     let net = Network::new(ModelKind::ResNet50, 1000, 0);
     let input = Tensor::random_uniform(Shape::chw(3, 224, 224), 1.0, 1);
 
-    force_conv_algo(None);
     group.bench_function("engine", |b| b.iter(|| net.forward(&input).unwrap()));
     for threads in thread_sweep() {
-        set_num_threads(threads);
-        group.bench_with_input(BenchmarkId::new("engine/threads", threads), &threads, |b, _| {
-            b.iter(|| net.forward(&input).unwrap())
+        EngineContext::new().with_threads(threads).scope(|| {
+            group.bench_with_input(
+                BenchmarkId::new("engine/threads", threads),
+                &threads,
+                |b, _| b.iter(|| net.forward(&input).unwrap()),
+            );
         });
     }
     // Calibrated dispatch: sweep the network's Winograd-eligible layer shapes
-    // once (winograd vs packed im2col, wall clock), install the measured-fastest
+    // once (winograd vs packed im2col, wall clock), scope the measured-fastest
     // table, and run the forward with per-layer measured defaults — Winograd only
     // where it actually won on this host. This is the deployment configuration.
-    set_num_threads(original_threads);
     let layers = ModelKind::ResNet50.arch(1000).conv_layers(224).expect("resnet50 at 224");
     let tuner =
         MeasuredTuner::new(MeasuredSweepConfig { reps: 2, max_threads: 1, ..Default::default() });
@@ -319,28 +319,29 @@ fn resnet50_forward(c: &mut Criterion) {
             }
         }
     }
-    install_algo_calibration(Some(calibrated.dispatch_table()));
-    group.bench_function("engine_calibrated", |b| b.iter(|| net.forward(&input).unwrap()));
-    install_algo_calibration(None);
+    EngineContext::new().with_calibration(calibrated.dispatch_table()).scope(|| {
+        group.bench_function("engine_calibrated", |b| b.iter(|| net.forward(&input).unwrap()));
+    });
 
     // Every stride-1 3×3 layer through the cached Winograd path (other shapes keep
     // their engine fast paths) — what calibration protects against: forcing
     // Winograd even on the deep low-resolution layers where it loses.
-    force_conv_algo(Some(ConvAlgo::Winograd));
-    group.bench_function("engine_winograd", |b| b.iter(|| net.forward(&input).unwrap()));
+    let winograd = EngineContext::new().with_algo(ConvAlgo::Winograd);
+    winograd.scope(|| {
+        group.bench_function("engine_winograd", |b| b.iter(|| net.forward(&input).unwrap()));
+    });
     for threads in thread_sweep() {
-        set_num_threads(threads);
-        group.bench_with_input(
-            BenchmarkId::new("engine_winograd/threads", threads),
-            &threads,
-            |b, _| b.iter(|| net.forward(&input).unwrap()),
-        );
+        winograd.clone().with_threads(threads).scope(|| {
+            group.bench_with_input(
+                BenchmarkId::new("engine_winograd/threads", threads),
+                &threads,
+                |b, _| b.iter(|| net.forward(&input).unwrap()),
+            );
+        });
     }
-    set_num_threads(1);
-    force_conv_algo(Some(ConvAlgo::Im2col));
-    group.bench_function("seed_im2col", |b| b.iter(|| net.forward(&input).unwrap()));
-    force_conv_algo(None);
-    set_num_threads(original_threads);
+    EngineContext::new().with_threads(1).with_algo(ConvAlgo::Im2col).scope(|| {
+        group.bench_function("seed_im2col", |b| b.iter(|| net.forward(&input).unwrap()));
+    });
     group.finish();
 }
 
@@ -352,8 +353,7 @@ fn resnet50_forward(c: &mut Criterion) {
 /// bitwise identical in results (pinned by the prepacked parity suites); only
 /// the execution strategy differs.
 fn forward_prepacked(c: &mut Criterion) {
-    let original_threads = num_threads();
-    set_num_threads(1);
+    let single = EngineContext::new().with_threads(1);
     let mut group = c.benchmark_group("forward_prepacked");
     group.sample_size(10);
     let net = Network::new(ModelKind::ResNet50, 1000, 0);
@@ -380,11 +380,12 @@ fn forward_prepacked(c: &mut Criterion) {
                 }
             }
         }
-        install_algo_calibration(Some(calibrated.dispatch_table()));
+        let tuned = single.clone().with_calibration(calibrated.dispatch_table());
+        let unchained = tuned.clone().with_chain_mode(ChainMode::Off);
 
         let shape = Shape::chw(3, res, res);
         let input = Tensor::random_uniform(shape, 1.0, res as u64);
-        let plan = net.warm_thread_arena(shape).expect("arena plan");
+        let plan = tuned.scope(|| net.warm_thread_arena(shape)).expect("arena plan");
         println!(
             "arena plan @{res}: {} buffers, {:.1} MiB arena, {:.1} MiB peak live activations",
             plan.buffer_elems.len(),
@@ -393,47 +394,53 @@ fn forward_prepacked(c: &mut Criterion) {
         );
         // Under calibrated dispatch at one thread, ChainMode::Auto chains every
         // eligible conv→conv pair; Off is the PR-5 execution of the same plan.
-        group.bench_with_input(BenchmarkId::new("prepacked", res), &res, |b, _| {
-            b.iter(|| net.forward(&input).unwrap())
+        tuned.scope(|| {
+            group.bench_with_input(BenchmarkId::new("prepacked", res), &res, |b, _| {
+                b.iter(|| net.forward(&input).unwrap())
+            });
         });
-        set_chain_mode(ChainMode::Off);
-        group.bench_with_input(BenchmarkId::new("prepacked_unchained", res), &res, |b, _| {
-            b.iter(|| net.forward(&input).unwrap())
+        unchained.scope(|| {
+            group.bench_with_input(BenchmarkId::new("prepacked_unchained", res), &res, |b, _| {
+                b.iter(|| net.forward(&input).unwrap())
+            });
         });
-        set_chain_mode(ChainMode::Auto);
-        group.bench_with_input(BenchmarkId::new("reference", res), &res, |b, _| {
-            b.iter(|| net.forward_reference(&input).unwrap())
+        tuned.scope(|| {
+            group.bench_with_input(BenchmarkId::new("reference", res), &res, |b, _| {
+                b.iter(|| net.forward_reference(&input).unwrap())
+            });
         });
 
         // Milestone records for results/forward_latency.json.
         records.push(LatencyRecord {
             milestone: "pr7_calibrated_chained",
             resolution: res,
-            min_ms: min_ms_of(3, || {
-                net.forward(&input).unwrap();
+            min_ms: tuned.scope(|| {
+                min_ms_of(3, || {
+                    net.forward(&input).unwrap();
+                })
             }),
         });
-        set_chain_mode(ChainMode::Off);
         records.push(LatencyRecord {
             milestone: "pr5_calibrated_unchained",
             resolution: res,
-            min_ms: min_ms_of(3, || {
-                net.forward(&input).unwrap();
+            min_ms: unchained.scope(|| {
+                min_ms_of(3, || {
+                    net.forward(&input).unwrap();
+                })
             }),
         });
-        set_chain_mode(ChainMode::Auto);
         records.push(LatencyRecord {
             milestone: "pr4_reference",
             resolution: res,
-            min_ms: min_ms_of(1, || {
-                net.forward_reference(&input).unwrap();
+            min_ms: tuned.scope(|| {
+                min_ms_of(1, || {
+                    net.forward_reference(&input).unwrap();
+                })
             }),
         });
-        install_algo_calibration(None);
     }
     write_forward_latency(&records);
     group.finish();
-    set_num_threads(original_threads);
 }
 
 /// The int8 quantized arm: u8×i8 GEMM with i32 accumulation and fused f32
@@ -443,8 +450,7 @@ fn forward_prepacked(c: &mut Criterion) {
 /// accuracy gate (`MeasuredTuner::admits_int8`) — the deployment
 /// configuration, with milestone latencies recorded alongside the f32 ones.
 fn quantized_benchmarks(c: &mut Criterion) {
-    let original_threads = num_threads();
-    set_num_threads(1);
+    let single = EngineContext::new().with_threads(1);
     let mut group = c.benchmark_group("quantized");
     group.sample_size(10);
 
@@ -466,42 +472,44 @@ fn quantized_benchmarks(c: &mut Criterion) {
         prepared.int8_weights().expect("int8-eligible layer");
         let mut out = Tensor::zeros(params.output_shape(input.shape()).expect("output shape"));
         let label = format!("{ic}to{oc}k{k}_{res}");
-        group.bench_function(format!("f32_prepared/{label}"), |b| {
-            b.iter(|| {
-                prepared
-                    .forward_with_algo_into(
-                        &input,
-                        ConvAlgo::Im2colPacked,
-                        ConvEpilogue::activation(FusedActivation::None),
-                        &mut out,
-                    )
-                    .unwrap()
-            })
-        });
-        group.bench_function(format!("int8_prepared/{label}"), |b| {
-            b.iter(|| {
-                prepared
-                    .forward_with_algo_into(
-                        &input,
-                        ConvAlgo::Int8,
-                        ConvEpilogue::activation(FusedActivation::None),
-                        &mut out,
-                    )
-                    .unwrap()
-            })
+        single.scope(|| {
+            group.bench_function(format!("f32_prepared/{label}"), |b| {
+                b.iter(|| {
+                    prepared
+                        .forward_with_algo_into(
+                            &input,
+                            ConvAlgo::Im2colPacked,
+                            ConvEpilogue::activation(FusedActivation::None),
+                            &mut out,
+                        )
+                        .unwrap()
+                })
+            });
+            group.bench_function(format!("int8_prepared/{label}"), |b| {
+                b.iter(|| {
+                    prepared
+                        .forward_with_algo_into(
+                            &input,
+                            ConvAlgo::Int8,
+                            ConvEpilogue::activation(FusedActivation::None),
+                            &mut out,
+                        )
+                        .unwrap()
+                })
+            });
         });
     }
 
     // End-to-end: calibrate every unique conv shape across the dense arms with
     // the int8 arm opted in (its accuracy gate still decides eligibility),
-    // install the measured-fastest table, and run the forward.
+    // scope the measured-fastest table, and run the forward.
     let mut net = Network::new(ModelKind::ResNet50, 1000, 0);
     let tuner =
         MeasuredTuner::new(MeasuredSweepConfig { reps: 2, int8: true, ..Default::default() });
     let mut records = Vec::new();
     for &res in &[224usize, 448] {
         let input = Tensor::random_uniform(Shape::chw(3, res, res), 1.0, res as u64);
-        net.calibrate_int8_ranges(&input).expect("range calibration");
+        single.scope(|| net.calibrate_int8_ranges(&input)).expect("range calibration");
         let layers = ModelKind::ResNet50.arch(1000).conv_layers(res).expect("resnet50 layers");
         let mut calibrated = CalibratedCostModel::new(CpuProfile::host());
         let mut seen = std::collections::HashSet::new();
@@ -533,23 +541,24 @@ fn quantized_benchmarks(c: &mut Criterion) {
             .filter(|(_, algo)| *algo == ConvAlgo::Int8)
             .count();
         println!("calibrated dispatch @{res}: int8 measured-fastest on {int8_shapes} shapes");
-        install_algo_calibration(Some(calibrated.dispatch_table()));
-        net.warm_thread_arena(Shape::chw(3, res, res)).expect("arena plan");
-        group.bench_with_input(BenchmarkId::new("resnet50_calibrated_int8", res), &res, |b, _| {
-            b.iter(|| net.forward(&input).unwrap())
+        single.clone().with_calibration(calibrated.dispatch_table()).scope(|| {
+            net.warm_thread_arena(Shape::chw(3, res, res)).expect("arena plan");
+            group.bench_with_input(
+                BenchmarkId::new("resnet50_calibrated_int8", res),
+                &res,
+                |b, _| b.iter(|| net.forward(&input).unwrap()),
+            );
+            records.push(LatencyRecord {
+                milestone: "pr9_calibrated_int8",
+                resolution: res,
+                min_ms: min_ms_of(3, || {
+                    net.forward(&input).unwrap();
+                }),
+            });
         });
-        records.push(LatencyRecord {
-            milestone: "pr9_calibrated_int8",
-            resolution: res,
-            min_ms: min_ms_of(3, || {
-                net.forward(&input).unwrap();
-            }),
-        });
-        install_algo_calibration(None);
     }
     write_forward_latency(&records);
     group.finish();
-    set_num_threads(original_threads);
 }
 
 /// The PR 7 chaining benchmark in isolation: every dense stride-1 3×3 layer
@@ -559,28 +568,25 @@ fn quantized_benchmarks(c: &mut Criterion) {
 /// staging keeps producer tiles cache-resident where the full 448² mid
 /// activation (≈25 MiB at 64 channels) cannot be.
 fn chained_forward(c: &mut Criterion) {
-    let original_threads = num_threads();
-    set_num_threads(1);
     let mut group = c.benchmark_group("chained_forward");
     group.sample_size(10);
     let net = Network::new(ModelKind::ResNet50, 1000, 0);
-    force_conv_algo(Some(ConvAlgo::Winograd));
+    let winograd = EngineContext::new().with_threads(1).with_algo(ConvAlgo::Winograd);
     for &res in &[224usize, 448] {
         let input = Tensor::random_uniform(Shape::chw(3, res, res), 1.0, res as u64);
-        net.warm_thread_arena(Shape::chw(3, res, res)).expect("arena plan");
-        set_chain_mode(ChainMode::Force);
-        group.bench_with_input(BenchmarkId::new("chained", res), &res, |b, _| {
-            b.iter(|| net.forward(&input).unwrap())
+        winograd.scope(|| net.warm_thread_arena(Shape::chw(3, res, res))).expect("arena plan");
+        winograd.clone().with_chain_mode(ChainMode::Force).scope(|| {
+            group.bench_with_input(BenchmarkId::new("chained", res), &res, |b, _| {
+                b.iter(|| net.forward(&input).unwrap())
+            });
         });
-        set_chain_mode(ChainMode::Off);
-        group.bench_with_input(BenchmarkId::new("unchained", res), &res, |b, _| {
-            b.iter(|| net.forward(&input).unwrap())
+        winograd.clone().with_chain_mode(ChainMode::Off).scope(|| {
+            group.bench_with_input(BenchmarkId::new("unchained", res), &res, |b, _| {
+                b.iter(|| net.forward(&input).unwrap())
+            });
         });
-        set_chain_mode(ChainMode::Auto);
     }
-    force_conv_algo(None);
     group.finish();
-    set_num_threads(original_threads);
 }
 
 criterion_group!(

@@ -3,7 +3,7 @@
 //! (`planning` group: `sample_curves` plus one-request and 32-request `plan` latency —
 //! the PR 3 acceptance numbers), the batched serving layer (resolution-bucketed
 //! scheduling across the 112–448 ladder at batch sizes 1/8/32), and the persistent
-//! pool's dispatch overhead against the legacy scoped-spawn path.
+//! pool's dispatch overhead.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rescnn_bench::load::{run_slo_load, ArrivalTrace, FaultPlan};
@@ -18,7 +18,7 @@ use rescnn_imaging::{crop_and_resize, render_scene, CropRatio, SceneSpec};
 use rescnn_models::ModelKind;
 use rescnn_oracle::AccuracyOracle;
 use rescnn_projpeg::{ProgressiveImage, ScanPlan};
-use rescnn_tensor::parallel::{for_each_chunk, for_each_chunk_scoped};
+use rescnn_tensor::parallel::for_each_chunk;
 
 /// The paper's full candidate-resolution ladder.
 const LADDER: [usize; 7] = [112, 168, 224, 280, 336, 392, 448];
@@ -123,22 +123,14 @@ fn planning_benchmarks(c: &mut Criterion) {
     group.finish();
 }
 
-/// Dispatch overhead: the persistent pool (wake parked workers) vs. the legacy
-/// scoped path (spawn + join threads) on a job whose compute is negligible, so
-/// the measurement is almost pure dispatch cost.
+/// Dispatch overhead of the persistent pool (wake parked workers) on a job whose
+/// compute is negligible, so the measurement is almost pure dispatch cost.
 fn dispatch_overhead_benchmarks(c: &mut Criterion) {
     let mut group = c.benchmark_group("dispatch");
     let mut data = vec![0u64; 1 << 10];
     group.bench_function("pool_dispatch_16_chunks", |b| {
         b.iter(|| {
             for_each_chunk(&mut data, 64, true, |index, chunk| {
-                chunk[0] = chunk[0].wrapping_add(index as u64);
-            })
-        })
-    });
-    group.bench_function("scoped_spawn_dispatch_16_chunks", |b| {
-        b.iter(|| {
-            for_each_chunk_scoped(&mut data, 64, true, |index, chunk| {
                 chunk[0] = chunk[0].wrapping_add(index as u64);
             })
         })

@@ -12,9 +12,11 @@
 //!   evaluation against static-resolution baselines (Figures 8/9). Inference is split
 //!   into a [`plan`](DynamicResolutionPipeline::plan) stage (preview + scale model) and
 //!   an [`execute`](DynamicResolutionPipeline::execute) stage, and every kernel-bearing
-//!   call runs inside the pipeline's scoped
-//!   [`EngineContext`](rescnn_tensor::EngineContext) rather than mutating process-global
-//!   engine state.
+//!   call runs inside the pipeline's own
+//!   [`EngineContext`](rescnn_tensor::EngineContext): its thread budget and its conv
+//!   dispatch calibration table, which a boot sweep
+//!   ([`start_boot_calibration`]) upgrades in place. No pipeline setting is
+//!   process-wide.
 //! * [`BatchScheduler`] — the batched serving layer: groups queued requests into
 //!   resolution buckets, executes each bucket with batch-level data parallelism over
 //!   the persistent engine worker pool, and reports per-bucket latency/throughput
@@ -76,8 +78,8 @@ pub use lifecycle::{
     BreakerState, CircuitBreaker, CircuitBreakerPolicy, RetryPolicy, SourceId, WatchdogPolicy,
 };
 pub use pipeline::{
-    install_conv_calibration, CalibrationInstall, DynamicResolutionPipeline, InferencePlan,
-    InferenceRecord, PipelineConfig, PipelineReport, PipelineWarning,
+    DynamicResolutionPipeline, InferencePlan, InferenceRecord, PipelineConfig, PipelineReport,
+    PipelineWarning,
 };
 pub use precision::{PrecisionGate, PrecisionGateConfig, PrecisionVerdict};
 pub use scale_model::{ScaleModel, ScaleModelConfig, ScaleModelTrainer, TrainingExample};
@@ -91,21 +93,6 @@ pub use slo::{
     SloReport, SloRequest, SloScheduler,
 };
 pub use trace::{ServingTrace, TraceDecision, TraceRequest};
-
-#[cfg(test)]
-pub(crate) mod test_sync {
-    //! Serialization of tests that install process-wide dispatch calibration or
-    //! observe the process-wide allocation counter: without it, concurrent
-    //! tests in this binary race on that shared state.
-
-    use std::sync::{Mutex, MutexGuard};
-
-    static CALIBRATION_LOCK: Mutex<()> = Mutex::new(());
-
-    pub(crate) fn calibration_lock() -> MutexGuard<'static, ()> {
-        CALIBRATION_LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-}
 
 /// Commonly used items, intended for glob import.
 pub mod prelude {

@@ -8,7 +8,7 @@
 //! is accounted in FLOPs of the backbone at the chosen resolution plus the scale model.
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, RwLock};
 
 use serde::{Deserialize, Serialize};
 
@@ -17,9 +17,7 @@ use rescnn_imaging::{crop_and_resize_cow, CropRatio, SsimConfig, SsimReference};
 use rescnn_models::ModelKind;
 use rescnn_oracle::{AccuracyOracle, EvalContext};
 use rescnn_projpeg::{ProgressiveImage, ScanPlan};
-use rescnn_tensor::{
-    algo_calibration_generation, AlgoCalibration, ConvAlgo, ConvShapeKey, EngineContext,
-};
+use rescnn_tensor::{AlgoCalibration, ConvAlgo, ConvShapeKey, EngineContext};
 
 use crate::calibration::{cheapest_sufficient_point, quality_at_scans, ScanPoint, StoragePolicy};
 use crate::error::{CoreError, Result};
@@ -44,19 +42,17 @@ pub struct PipelineConfig {
     /// Model family used for the scale model's cost accounting (MobileNetV2 in the paper).
     pub scale_model_kind: ModelKind,
     /// Worker threads the tensor engine may use for this pipeline's kernels (`None`
-    /// keeps the engine's current setting: `RESCNN_THREADS` or the host's available
-    /// parallelism). Applied as a scoped [`EngineContext`] per call — never as
-    /// process-global state — so pipelines with different settings can serve
-    /// concurrently without racing.
+    /// inherits the caller's budget: by default `RESCNN_THREADS` or the host's
+    /// available parallelism). Part of the pipeline's [`EngineContext`], so
+    /// pipelines with different settings can serve concurrently without racing.
     pub engine_threads: Option<usize>,
     /// Path to a persisted convolution-dispatch calibration (written by
     /// `rescnn_hwsim::CalibratedCostModel::save`). When set, pipeline
-    /// construction loads it and installs the measured-fastest-algorithm table
-    /// via [`install_conv_calibration`], so serving starts warm with the
-    /// dispatch defaults wall-clock sweeps picked on this host. Unlike thread
-    /// budgets, the table is deliberately process-wide: it supplies *default*
-    /// choices only (scoped/global overrides and uncalibrated shapes are
-    /// unaffected), so concurrent pipelines cannot disagree about it.
+    /// construction loads its measured-fastest-algorithm table into the
+    /// pipeline's own [`EngineContext`], so serving starts warm with the
+    /// dispatch defaults wall-clock sweeps picked on this host. The table steers
+    /// only this pipeline's calls: explicit algorithm pins and uncalibrated
+    /// shapes are unaffected, and other pipelines keep their own tables.
     pub conv_calibration: Option<String>,
 }
 
@@ -96,7 +92,7 @@ impl PipelineConfig {
     }
 
     /// Bounds the tensor engine's kernel parallelism for this pipeline's calls
-    /// (scoped per call via [`EngineContext`]; does not mutate process state).
+    /// (part of the pipeline's [`EngineContext`]).
     pub fn with_engine_threads(mut self, threads: usize) -> Self {
         self.engine_threads = Some(threads.max(1));
         self
@@ -107,15 +103,6 @@ impl PipelineConfig {
     pub fn with_conv_calibration(mut self, path: impl Into<String>) -> Self {
         self.conv_calibration = Some(path.into());
         self
-    }
-
-    /// The scoped engine configuration this pipeline installs around kernel-bearing
-    /// calls.
-    pub fn engine_context(&self) -> EngineContext {
-        match self.engine_threads {
-            Some(threads) => EngineContext::new().with_threads(threads),
-            None => EngineContext::new(),
-        }
     }
 }
 
@@ -269,61 +256,35 @@ impl InferencePlan {
     }
 }
 
-/// Loads a convolution-dispatch calibration persisted by
-/// `rescnn_hwsim::CalibratedCostModel::save` and installs its
-/// measured-fastest-algorithm table process-wide
-/// ([`rescnn_tensor::install_algo_calibration`]), returning the number of
-/// calibrated layer shapes.
-///
-/// Serving deployments run the measured sweep offline (see
-/// `examples/kernel_tuning.rs`), persist it, and point
-/// [`PipelineConfig::with_conv_calibration`] at the file so every pipeline in
-/// the process starts warm. Explicit algorithm overrides and shapes absent from
-/// the table are unaffected.
-///
-/// What [`install_conv_calibration`] accomplished: how much of the file this
-/// build could use, and what it had to leave behind.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CalibrationInstall {
-    /// Calibrated layer shapes now steering default dispatch.
-    pub shapes: usize,
-    /// Persisted entries skipped because their algorithm names are unknown to
-    /// this build (a file written by a newer engine). The load still succeeds;
-    /// callers surface these as [`PipelineWarning::CalibrationEntriesSkipped`].
-    pub skipped: Vec<rescnn_hwsim::SkippedCalibration>,
-}
-
-/// Loads a convolution-dispatch calibration persisted by
-/// `rescnn_hwsim::CalibratedCostModel::save` and installs its
-/// measured-fastest-algorithm table process-wide
-/// ([`rescnn_tensor::install_algo_calibration`]), returning the number of
-/// calibrated layer shapes along with any entries the load skipped.
-///
-/// Serving deployments run the measured sweep offline (see
-/// `examples/kernel_tuning.rs`), persist it, and point
-/// [`PipelineConfig::with_conv_calibration`] at the file so every pipeline in
-/// the process starts warm. Explicit algorithm overrides and shapes absent from
-/// the table are unaffected. Entries whose algorithm name this build does not
-/// recognize are skipped (and reported), not fatal: a calibration file from a
-/// newer engine still warm-starts every arm this build has.
-///
-/// # Errors
-/// Returns [`CoreError::InvalidConfig`] if the file cannot be read or parsed.
-pub fn install_conv_calibration(path: &str) -> Result<CalibrationInstall> {
-    let model = rescnn_hwsim::CalibratedCostModel::load(path, rescnn_hwsim::CpuProfile::host())
-        .map_err(|e| CoreError::InvalidConfig {
-            reason: format!("conv calibration {path}: {e}"),
-        })?;
-    let table = model.dispatch_table();
-    let shapes = table.len();
-    rescnn_tensor::install_algo_calibration(Some(table));
-    Ok(CalibrationInstall { shapes, skipped: model.skipped_entries().to_vec() })
-}
-
 /// Cached per-resolution bucket dispatch tables — keyed by `(resolution,
-/// int8)`, each tagged with the process-wide calibration generation it was
-/// resolved under.
+/// int8)`, each tagged with the generation of the pipeline's calibration table
+/// it was resolved under.
 type BucketDispatchCache = BTreeMap<(usize, bool), (u64, Arc<AlgoCalibration>)>;
+
+/// A pipeline's convolution-dispatch calibration table and its generation,
+/// shared by the pipeline's clones. Loaded from
+/// [`PipelineConfig::conv_calibration`] at construction and upgraded in place by
+/// a boot sweep ([`start_boot_calibration`](crate::start_boot_calibration));
+/// every upgrade bumps the generation.
+#[derive(Debug, Default)]
+pub(crate) struct PipelineCalibration {
+    table: Option<Arc<AlgoCalibration>>,
+    generation: u64,
+}
+
+impl PipelineCalibration {
+    /// Merges `additions` into the table in one step — new entries win on
+    /// conflicting shapes, everything else is preserved — so concurrent
+    /// upgraders can never lose each other's entries.
+    pub(crate) fn merge(&mut self, additions: &AlgoCalibration) {
+        let mut merged = self.table.as_deref().cloned().unwrap_or_default();
+        for (key, algo) in additions.entries() {
+            merged.set(*key, algo);
+        }
+        self.table = Some(Arc::new(merged));
+        self.generation += 1;
+    }
+}
 
 /// A non-fatal condition recorded during pipeline construction: the pipeline
 /// is fully usable, but degraded from what the configuration asked for.
@@ -378,6 +339,8 @@ pub struct DynamicResolutionPipeline {
     oracle: AccuracyOracle,
     backbone_gflops: BTreeMap<usize, f64>,
     scale_gflops: f64,
+    /// The pipeline's conv-dispatch calibration (shared across clones).
+    calibration: Arc<RwLock<PipelineCalibration>>,
     /// Per-resolution-bucket conv-dispatch tables, resolved lazily and tagged
     /// with the calibration generation they were derived from (shared across
     /// pipeline clones; see [`DynamicResolutionPipeline::bucket_dispatch`]).
@@ -407,13 +370,16 @@ impl DynamicResolutionPipeline {
         // A bad warm-start calibration file degrades to the analytic cost
         // model with a recorded warning — it must not fail construction.
         let mut warnings = Vec::new();
+        let mut calibration = PipelineCalibration::default();
         if let Some(path) = &config.conv_calibration {
-            match install_conv_calibration(path) {
-                Ok(install) => {
+            match rescnn_hwsim::CalibratedCostModel::load(path, rescnn_hwsim::CpuProfile::host()) {
+                Ok(model) => {
+                    calibration.table = Some(Arc::new(model.dispatch_table()));
                     // Aggregate skips per unknown algorithm name: one warning
-                    // per foreign arm, not one per persisted line.
+                    // per foreign arm, not one per persisted line. Every entry
+                    // this build understands is in the table.
                     let mut by_algo: BTreeMap<&str, usize> = BTreeMap::new();
-                    for entry in &install.skipped {
+                    for entry in model.skipped_entries() {
                         *by_algo.entry(entry.algo.as_str()).or_insert(0) += 1;
                     }
                     for (algo, lines) in by_algo {
@@ -427,7 +393,10 @@ impl DynamicResolutionPipeline {
                 Err(error) => {
                     warnings.push(PipelineWarning::CalibrationLoadFailed {
                         path: path.clone(),
-                        reason: error.to_string(),
+                        reason: CoreError::InvalidConfig {
+                            reason: format!("conv calibration {path}: {error}"),
+                        }
+                        .to_string(),
                     });
                 }
             }
@@ -445,6 +414,7 @@ impl DynamicResolutionPipeline {
             oracle,
             backbone_gflops,
             scale_gflops,
+            calibration: Arc::new(RwLock::new(calibration)),
             bucket_dispatch: Arc::new(Mutex::new(BucketDispatchCache::new())),
             arena_peaks: Arc::new(Mutex::new(BTreeMap::new())),
             warnings,
@@ -490,17 +460,17 @@ impl DynamicResolutionPipeline {
 
     /// The per-shape convolution dispatch table for one resolution bucket:
     /// every conv layer of the backbone at `resolution`, resolved through
-    /// [`rescnn_tensor::select_algo`] **once** and cached — instead of per
-    /// layer per request inside the bucket. The cache is shared across
-    /// pipeline clones and invalidated automatically when a new process-wide
-    /// calibration table is installed (e.g. by a sweep-once-on-boot run
-    /// finishing).
+    /// [`rescnn_tensor::select_algo`] under the pipeline's calibration table
+    /// **once** and cached — instead of per layer per request inside the
+    /// bucket. The cache is shared across pipeline clones and invalidated
+    /// automatically when the pipeline's table is upgraded (e.g. by a
+    /// sweep-once-on-boot run finishing).
     ///
-    /// The batch scheduler installs the returned table as a scoped calibration
-    /// ([`rescnn_tensor::with_algo_calibration_scope`]) around each bucket's
-    /// execution. Because the entries are exactly what dispatch would have
-    /// resolved anyway, this never changes results — it removes the per-call
-    /// calibration lock from the bucket's hot path.
+    /// The batch scheduler executes each bucket in the pipeline's context with
+    /// this table as its calibration. Because the entries are exactly what the
+    /// pipeline's own table resolves to for every conv the bucket runs, this
+    /// never changes results, and every request of a bucket sees one consistent
+    /// table even if a boot sweep upgrades the pipeline mid-bucket.
     pub fn bucket_dispatch(&self, resolution: usize) -> Arc<AlgoCalibration> {
         self.bucket_dispatch_impl(resolution, false)
     }
@@ -508,32 +478,38 @@ impl DynamicResolutionPipeline {
     /// The quantized variant of [`bucket_dispatch`](Self::bucket_dispatch):
     /// the same per-shape table with every int8-eligible convolution
     /// overridden onto [`ConvAlgo::Int8`] (grouped/depthwise shapes keep
-    /// their f32 kernels — the arm cannot run them). The SLO scheduler scopes
-    /// this table around a precision-demoted bucket's execution; it never
-    /// leaks into f32 buckets or process-wide state.
+    /// their f32 kernels — the arm cannot run them). The SLO scheduler executes
+    /// a precision-demoted bucket under this table; it never leaks into f32
+    /// buckets.
     pub fn bucket_dispatch_int8(&self, resolution: usize) -> Arc<AlgoCalibration> {
         self.bucket_dispatch_impl(resolution, true)
     }
 
     fn bucket_dispatch_impl(&self, resolution: usize, int8: bool) -> Arc<AlgoCalibration> {
-        let generation = algo_calibration_generation();
+        let (generation, base) = {
+            let calibration = self.calibration.read().unwrap_or_else(|e| e.into_inner());
+            (calibration.generation, calibration.table.clone())
+        };
         let mut cache = self.bucket_dispatch.lock().unwrap_or_else(|e| e.into_inner());
         if let Some((cached_generation, table)) = cache.get(&(resolution, int8)) {
             if *cached_generation == generation {
                 return Arc::clone(table);
             }
         }
+        // Resolve under exactly the pipeline's table (an empty one means
+        // heuristics), whatever table the caller's context carries.
+        let resolver = EngineContext::new().with_calibration(base.unwrap_or_default());
         let mut table = AlgoCalibration::new();
         let arch = self.config.backbone.arch(self.config.dataset.num_classes());
         if let Ok(layers) = arch.conv_layers(resolution) {
             for layer in layers {
                 // `select_algo` (not `planned_conv_algo`): explicit overrides
-                // must stay dynamic — baking a caller's scoped override into
+                // must stay dynamic — baking a caller's pinned algorithm into
                 // the cached table would outlive its scope.
                 let algo = if int8 && ConvAlgo::Int8.supports(&layer.params) {
                     ConvAlgo::Int8
                 } else {
-                    rescnn_tensor::select_algo(&layer.params, layer.input)
+                    resolver.scope(|| rescnn_tensor::select_algo(&layer.params, layer.input))
                 };
                 table.set(ConvShapeKey::new(layer.params, layer.input), algo);
             }
@@ -548,12 +524,29 @@ impl DynamicResolutionPipeline {
         &self.config
     }
 
-    /// The scoped engine configuration installed around this pipeline's
-    /// kernel-bearing calls ([`infer`](Self::infer), [`plan`](Self::plan),
-    /// [`execute`](Self::execute)). Construction never mutates process-global
-    /// engine state, so pipelines with different thread budgets coexist safely.
+    /// The engine context installed around this pipeline's kernel-bearing
+    /// calls ([`infer`](Self::infer), [`plan`](Self::plan),
+    /// [`execute`](Self::execute)): its thread budget and its calibration
+    /// table. Pipelines with different settings coexist safely.
     pub fn engine_context(&self) -> EngineContext {
-        self.config.engine_context()
+        let mut context = EngineContext::new();
+        if let Some(threads) = self.config.engine_threads {
+            context = context.with_threads(threads);
+        }
+        if let Some(table) = self.calibration() {
+            context = context.with_calibration(table);
+        }
+        context
+    }
+
+    /// The pipeline's current conv-dispatch calibration table, if it has one.
+    pub(crate) fn calibration(&self) -> Option<Arc<AlgoCalibration>> {
+        self.calibration.read().unwrap_or_else(|e| e.into_inner()).table.clone()
+    }
+
+    /// The shared calibration a boot sweep upgrades.
+    pub(crate) fn calibration_handle(&self) -> Arc<RwLock<PipelineCalibration>> {
+        Arc::clone(&self.calibration)
     }
 
     /// Compute cost of the scale model per image, in GFLOPs.
@@ -572,7 +565,7 @@ impl DynamicResolutionPipeline {
     /// # Errors
     /// Returns an error if rendering, encoding, decoding, or feature extraction fails.
     pub fn infer(&self, sample: &Sample) -> Result<InferenceRecord> {
-        self.config.engine_context().scope(|| {
+        self.engine_context().scope(|| {
             let plan = self.plan_unscoped(sample)?;
             self.execute_unscoped(sample, &plan)
         })
@@ -586,7 +579,7 @@ impl DynamicResolutionPipeline {
     /// # Errors
     /// Returns an error if rendering, encoding, decoding, or feature extraction fails.
     pub fn plan(&self, sample: &Sample) -> Result<InferencePlan> {
-        self.config.engine_context().scope(|| self.plan_unscoped(sample))
+        self.engine_context().scope(|| self.plan_unscoped(sample))
     }
 
     /// Stages 2–3 of an inference: reads whatever extra scans the planned
@@ -596,7 +589,7 @@ impl DynamicResolutionPipeline {
     /// # Errors
     /// Returns an error if decoding fails.
     pub fn execute(&self, sample: &Sample, plan: &InferencePlan) -> Result<InferenceRecord> {
-        self.config.engine_context().scope(|| self.execute_unscoped(sample, plan))
+        self.engine_context().scope(|| self.execute_unscoped(sample, plan))
     }
 
     /// [`plan`](Self::plan) without installing the pipeline's engine context —
@@ -629,7 +622,7 @@ impl DynamicResolutionPipeline {
         sample: &Sample,
         encoded: ProgressiveImage,
     ) -> Result<InferencePlan> {
-        self.config.engine_context().scope(|| self.plan_with_storage_unscoped(sample, encoded))
+        self.engine_context().scope(|| self.plan_with_storage_unscoped(sample, encoded))
     }
 
     /// [`plan_with_storage`](Self::plan_with_storage) without installing the
@@ -1027,8 +1020,8 @@ mod tests {
 
     #[test]
     fn engine_threads_are_scoped_not_global() {
-        // Regression: `with_engine_threads` used to leak into a process-global via
-        // `set_num_threads` in `DynamicResolutionPipeline::new`, so two pipelines
+        // Regression: `with_engine_threads` once leaked into a process-global
+        // thread count in `DynamicResolutionPipeline::new`, so two pipelines
         // with different settings raced (last constructor won for both).
         let config =
             ScaleModelConfig { resolutions: vec![112, 224], epochs: 5, ..Default::default() };
@@ -1148,10 +1141,10 @@ mod tests {
 
     #[test]
     fn conv_calibration_warm_start_installs_table() {
-        // A pipeline configured with a persisted calibration installs it at
-        // construction; an unloadable file degrades to the analytic cost model
-        // with a typed warning instead of failing construction.
-        let _guard = crate::test_sync::calibration_lock();
+        // A pipeline configured with a persisted calibration loads it into its
+        // own context at construction; an unloadable file degrades to the
+        // analytic cost model with a typed warning instead of failing
+        // construction.
         use rescnn_hwsim::{CalibratedCostModel, CpuProfile};
         use rescnn_models::ConvLayerShape;
         use rescnn_tensor::{Conv2dParams, ConvAlgo, ConvShapeKey, Shape};
@@ -1206,8 +1199,6 @@ mod tests {
         assert_eq!(torn.warnings().len(), 1, "truncated file must warn exactly once");
         std::fs::remove_file(&truncated_path).ok();
 
-        // Calibrate an exotic shape no test network uses, so the installed
-        // table cannot perturb any other test's dispatch decisions.
         let layer = ConvLayerShape {
             params: Conv2dParams::new(13, 13, 3, 1, 1),
             input: Shape::chw(13, 37, 37),
@@ -1225,14 +1216,20 @@ mod tests {
             DynamicResolutionPipeline::new(warm, scale_model, AccuracyOracle::new(0)).unwrap();
         assert!(pipeline.warnings().is_empty(), "a loadable calibration must not warn");
         assert!(pipeline.config().conv_calibration.is_some());
-        let table = rescnn_tensor::installed_algo_calibration().expect("table installed");
+        let table = pipeline.calibration().expect("table loaded");
         let key = ConvShapeKey::new(layer.params, layer.input);
         assert_eq!(table.get(&key), Some(ConvAlgo::Winograd));
         assert_eq!(
-            rescnn_tensor::select_algo(&layer.params, layer.input),
+            pipeline
+                .engine_context()
+                .scope(|| rescnn_tensor::select_algo(&layer.params, layer.input)),
             ConvAlgo::Winograd,
             "dispatch must pick the measured-fastest algorithm for calibrated shapes"
         );
+        // The table belongs to the pipeline: default dispatch is untouched.
+        assert!(rescnn_tensor::installed_algo_calibration().is_none());
+        assert_eq!(rescnn_tensor::select_algo(&layer.params, layer.input), ConvAlgo::Im2colPacked);
+        assert!(degraded.calibration().is_none());
         std::fs::remove_file(&path).ok();
     }
 
@@ -1241,7 +1238,6 @@ mod tests {
         // A calibration file from a newer engine build — carrying an arm this
         // build lacks — must still install every entry it understands, with a
         // typed warning naming the foreign arm and how many lines it lost.
-        let _guard = crate::test_sync::calibration_lock();
         let path =
             std::env::temp_dir().join(format!("rescnn-core-future-{}.txt", std::process::id()));
         std::fs::write(
@@ -1274,7 +1270,7 @@ mod tests {
         );
         assert!(pipeline.warnings()[0].to_string().contains("int4_packed"));
         // The entry this build understands really did install.
-        let table = rescnn_tensor::installed_algo_calibration().expect("table installed");
+        let table = pipeline.calibration().expect("table loaded");
         use rescnn_tensor::{Conv2dParams, ConvAlgo, ConvShapeKey, Shape};
         let key = ConvShapeKey::new(Conv2dParams::new(13, 13, 3, 1, 1), Shape::chw(13, 37, 37));
         assert_eq!(table.get(&key), Some(ConvAlgo::Im2colPacked));

@@ -30,9 +30,7 @@ use std::collections::BTreeMap;
 use serde::Serialize;
 
 use rescnn_models::{ModelKind, Network};
-use rescnn_tensor::{
-    with_algo_calibration_scope, AlgoCalibration, ConvAlgo, ConvShapeKey, Shape, Tensor,
-};
+use rescnn_tensor::{AlgoCalibration, ConvAlgo, ConvShapeKey, EngineContext, Shape, Tensor};
 use std::sync::Arc;
 
 use crate::error::{CoreError, Result};
@@ -194,16 +192,19 @@ impl PrecisionGate {
         for input in &inputs {
             network.calibrate_int8_ranges(input).map_err(forward_error(resolution))?;
         }
-        let table = Self::int8_dispatch(backbone, num_classes, resolution);
+        let int8 = EngineContext::new().with_calibration(Self::int8_dispatch(
+            backbone,
+            num_classes,
+            resolution,
+        ));
         let mut agreements = 0usize;
         let mut similarity_sum = 0.0f64;
         for input in &inputs {
             let f32_probs =
                 network.predict_probabilities(input).map_err(forward_error(resolution))?;
-            let int8_probs = with_algo_calibration_scope(Arc::clone(&table), || {
-                network.predict_probabilities(input)
-            })
-            .map_err(forward_error(resolution))?;
+            let int8_probs = int8
+                .scope(|| network.predict_probabilities(input))
+                .map_err(forward_error(resolution))?;
             let f32_probs = f32_probs.as_slice();
             let int8_probs = int8_probs.as_slice();
             if argmax(f32_probs) == argmax(int8_probs) {

@@ -38,14 +38,13 @@
 //! [`BatchOptions::strict`] to restore fail-fast semantics (the error with the
 //! lowest submission index is returned).
 
-use std::sync::Arc;
 use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 
 use rescnn_data::{Dataset, Sample};
 use rescnn_projpeg::ProgressiveImage;
-use rescnn_tensor::{num_threads, parallel_map_isolated, split_parallelism};
+use rescnn_tensor::{num_threads, parallel_map_isolated, split_parallelism, EngineContext};
 
 use crate::error::{CoreError, Result};
 use crate::pipeline::{DynamicResolutionPipeline, InferencePlan, InferenceRecord, PipelineReport};
@@ -114,8 +113,8 @@ pub struct BucketStats {
     /// Batches the bucket was executed in.
     pub batches: usize,
     /// Conv layer shapes whose dispatch algorithm was resolved once for the
-    /// whole bucket (instead of per layer per request) and installed as a
-    /// scoped calibration around the bucket's execution.
+    /// whole bucket (instead of per layer per request) and carried as the
+    /// calibration of the context the bucket executes in.
     pub dispatch_shapes: usize,
     /// Sample-level (outer) parallelism used for the bucket's full batches.
     pub outer_parallelism: usize,
@@ -216,7 +215,7 @@ impl<'a> BatchScheduler<'a> {
     fn thread_budget(&self) -> usize {
         self.options
             .threads
-            .or(self.pipeline.engine_context().threads)
+            .or(self.pipeline.config().engine_threads)
             .unwrap_or_else(num_threads)
             .max(1)
     }
@@ -242,7 +241,8 @@ impl<'a> BatchScheduler<'a> {
         // Stage 1: plan every request (data-parallel across the queue), each
         // under its own fault-isolation boundary.
         let planning_start = Instant::now();
-        let plans = run_batch_isolated(self.pipeline, threads, queue.len(), |index| {
+        let context = self.pipeline.engine_context();
+        let plans = run_batch_isolated(&context, threads, queue.len(), |index| {
             let entry = &queue[index];
             match &entry.storage {
                 Some(encoded) => {
@@ -275,28 +275,24 @@ impl<'a> BatchScheduler<'a> {
 
         // Stage 3: execute each bucket in homogeneous batches. The bucket's
         // conv-dispatch table is resolved once per (resolution, calibration
-        // generation) — not per request — and installed as a scoped calibration
-        // around *each task body* (the scope is thread-local, so it must be
-        // entered on whichever thread — scheduler or pool worker — actually
-        // executes the request): every backbone kernel dispatched inside pays a
-        // thread-local lookup instead of the process-wide calibration lock, and
+        // generation) — not per request — and becomes the calibration of the
+        // context the bucket executes in (the pool carries it onto workers), so
         // all of a bucket's requests see one consistent table even if a boot
-        // sweep installs a new process-wide table mid-bucket.
+        // sweep upgrades the pipeline's table mid-bucket.
         let mut records: Vec<Option<InferenceRecord>> = vec![None; queue.len()];
         let mut bucket_stats = Vec::with_capacity(buckets.len());
         for (&resolution, members) in &buckets {
             let (outer, inner) = split_parallelism(max_batch.min(members.len()), threads);
             let dispatch = self.pipeline.bucket_dispatch(resolution);
             let dispatch_shapes = dispatch.len();
+            let bucket_context = context.clone().with_calibration(dispatch);
             let bucket_start = Instant::now();
             let mut batches = 0usize;
             for batch in members.chunks(max_batch) {
-                let outcomes = run_batch_isolated(self.pipeline, threads, batch.len(), |slot| {
+                let outcomes = run_batch_isolated(&bucket_context, threads, batch.len(), |slot| {
                     let index = batch[slot];
                     let plan = plan_slots[index].as_ref().expect("bucketed requests have plans");
-                    rescnn_tensor::with_algo_calibration_scope(Arc::clone(&dispatch), || {
-                        self.pipeline.execute_unscoped(queue[index].sample, plan)
-                    })
+                    self.pipeline.execute_unscoped(queue[index].sample, plan)
                 });
                 for (slot, outcome) in outcomes.into_iter().enumerate() {
                     let index = batch[slot];
@@ -350,14 +346,14 @@ impl<'a> BatchScheduler<'a> {
 
 /// Runs `f(i)` for `i` in `0..count` with the scheduler's inner/outer thread
 /// split and a per-task fault-isolation boundary, returning the outcomes in
-/// index order. The pipeline's [`EngineContext`](rescnn_tensor::EngineContext)
-/// is installed first so [`parallel_map_isolated`] carries it (algorithm
-/// overrides included) onto pool workers; the inner thread budget replaces the
-/// pipeline's own setting for the duration of the batch. A task that panics
-/// yields [`CoreError::Panicked`] in its own slot — the pool, the other tasks,
-/// and any scoped calibration state are unaffected.
+/// index order. Every task runs in `context` (usually the pipeline's
+/// [`EngineContext`], plus a bucket's dispatch table or a cancellation token),
+/// which [`parallel_map_isolated`] carries onto pool workers; the inner thread
+/// budget replaces the context's own setting for the duration of the batch. A
+/// task that panics yields [`CoreError::Panicked`] in its own slot — the pool,
+/// the other tasks, and any scoped state are unaffected.
 pub(crate) fn run_batch_isolated<T, F>(
-    pipeline: &DynamicResolutionPipeline,
+    context: &EngineContext,
     threads: usize,
     count: usize,
     f: F,
@@ -366,7 +362,7 @@ where
     T: Send,
     F: Fn(usize) -> Result<T> + Sync,
 {
-    pipeline.engine_context().scope(|| {
+    context.scope(|| {
         parallel_map_isolated(count, threads, f)
             .into_iter()
             .map(|outcome| match outcome {
@@ -495,15 +491,24 @@ mod tests {
 
     #[test]
     fn bucket_dispatch_cache_invalidates_on_new_calibration() {
-        let _guard = crate::test_sync::calibration_lock();
         let pipeline = build_pipeline(vec![112]);
         let before = pipeline.bucket_dispatch(112);
-        // Installing a calibration bumps the generation; the cache re-resolves.
-        let previous =
-            rescnn_tensor::install_algo_calibration(Some(rescnn_tensor::AlgoCalibration::new()));
+        // Upgrading the pipeline's table bumps its generation; the cache
+        // re-resolves, and the upgrade steers the re-resolved table.
+        let layer = &pipeline
+            .config()
+            .backbone
+            .arch(rescnn_data::DatasetKind::CarsLike.num_classes())
+            .conv_layers(112)
+            .unwrap()[1];
+        let key = rescnn_tensor::ConvShapeKey::new(layer.params, layer.input);
+        let mut upgrade = rescnn_tensor::AlgoCalibration::new();
+        upgrade.set(key, rescnn_tensor::ConvAlgo::Direct);
+        pipeline.calibration_handle().write().unwrap().merge(&upgrade);
         let after = pipeline.bucket_dispatch(112);
         assert!(!std::sync::Arc::ptr_eq(&before, &after), "stale bucket table survived");
-        rescnn_tensor::install_algo_calibration(previous.map(|t| (*t).clone()));
+        assert_eq!(after.get(&key), Some(rescnn_tensor::ConvAlgo::Direct));
+        assert_ne!(before.get(&key), Some(rescnn_tensor::ConvAlgo::Direct));
     }
 
     /// The execution stage's zero-allocation property must hold across warm
@@ -512,7 +517,6 @@ mod tests {
     /// by zero.
     #[test]
     fn warm_scheduler_runs_do_not_allocate_tracked_buffers() {
-        let _guard = crate::test_sync::calibration_lock();
         let pipeline = build_pipeline(vec![112, 224]);
         let data = DatasetSpec::cars_like().with_len(6).with_max_dimension(72).build(3);
         let options = BatchOptions::default().with_max_batch(3);

@@ -46,7 +46,7 @@ use serde::Serialize;
 
 use rescnn_data::Sample;
 use rescnn_projpeg::ProgressiveImage;
-use rescnn_tensor::CancellationToken;
+use rescnn_tensor::{CancellationToken, EngineContext};
 
 use crate::error::{CoreError, Result, SubmitError};
 use crate::lifecycle::SourceId;
@@ -834,9 +834,11 @@ fn run_worker(
             break;
         }
         if core.has_eligible(now) {
-            // Kernel-bearing work runs inside the token scope so the
+            // Kernel-bearing work runs in a context carrying the token so the
             // watcher's deadline refuses it at the next task boundary.
-            let settled = shared.cancel.scope(|| core.admit_step(now));
+            let settled = EngineContext::new()
+                .with_cancellation(shared.cancel.clone())
+                .scope(|| core.admit_step(now));
             if shared.cancel.is_cancelled() {
                 // Mid-step refusals depended on the wall clock; the tail of
                 // this run is no longer bitwise replayable.

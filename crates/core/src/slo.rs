@@ -719,7 +719,7 @@ pub(crate) fn thread_budget(pipeline: &DynamicResolutionPipeline, options: &SloO
     options
         .batch
         .threads
-        .or(pipeline.engine_context().threads)
+        .or(pipeline.config().engine_threads)
         .unwrap_or_else(rescnn_tensor::num_threads)
         .max(1)
 }
@@ -937,6 +937,7 @@ impl<'a> AdmissionCore<'a> {
         }
         let pipeline = self.pipeline;
         let threads = self.threads;
+        let context = pipeline.engine_context();
         let max_batch = self.options.batch.max_batch.max(1);
 
         // Stage 1: plan every attempt that needs one (retries of execute
@@ -979,7 +980,7 @@ impl<'a> AdmissionCore<'a> {
                     .clone();
                 groups.push(PlanGroup { source: Some(source), breaker: Some(breaker), slots });
             }
-            let group_outcomes = run_batch_isolated(pipeline, threads, groups.len(), |g| {
+            let group_outcomes = run_batch_isolated(&context, threads, groups.len(), |g| {
                 let group = &groups[g];
                 let mut breaker = group.breaker.clone();
                 let mut walked: Vec<(usize, Gate)> = Vec::with_capacity(group.slots.len());
@@ -1034,7 +1035,7 @@ impl<'a> AdmissionCore<'a> {
             // No breaker: the flat data-parallel plan stage (identical in
             // structure — and in round 0, in per-task work — to the
             // policy-free scheduler).
-            let planned = run_batch_isolated(pipeline, threads, need_plan.len(), |i| {
+            let planned = run_batch_isolated(&context, threads, need_plan.len(), |i| {
                 self.plan_request(round[need_plan[i]].index)
             });
             for (i, outcome) in planned.into_iter().enumerate() {
@@ -1270,14 +1271,11 @@ impl<'a> AdmissionCore<'a> {
         if !doomed.is_empty() {
             let token = rescnn_tensor::CancellationToken::new();
             token.cancel();
-            let results = token.scope(|| {
-                run_batch_isolated(pipeline, threads, doomed.len(), |slot| {
-                    let entry = &doomed[slot];
-                    pipeline.execute_unscoped(
-                        self.queue[round[entry.slot].index].sample.get(),
-                        &entry.plan,
-                    )
-                })
+            let cancelled = context.clone().with_cancellation(token);
+            let results = run_batch_isolated(&cancelled, threads, doomed.len(), |slot| {
+                let entry = &doomed[slot];
+                pipeline
+                    .execute_unscoped(self.queue[round[entry.slot].index].sample.get(), &entry.plan)
             });
             let factor = self.options.watchdog.as_ref().map_or(f64::INFINITY, |w| w.overrun_factor);
             for (entry, raw) in doomed.into_iter().zip(results) {
@@ -1310,8 +1308,9 @@ impl<'a> AdmissionCore<'a> {
             } else {
                 pipeline.bucket_dispatch(resolution)
             };
+            let bucket_context = context.clone().with_calibration(dispatch);
             for batch in members.chunks(max_batch) {
-                let results = run_batch_isolated(pipeline, threads, batch.len(), |slot| {
+                let results = run_batch_isolated(&bucket_context, threads, batch.len(), |slot| {
                     let entry = &normal[batch[slot]];
                     let attempt = &round[entry.slot];
                     // Chaos panics model transient faults and fire on
@@ -1327,10 +1326,7 @@ impl<'a> AdmissionCore<'a> {
                             panic!("chaos: injected panic in request {}", attempt.index);
                         }
                     }
-                    rescnn_tensor::with_algo_calibration_scope(Arc::clone(&dispatch), || {
-                        pipeline
-                            .execute_unscoped(self.queue[attempt.index].sample.get(), &entry.plan)
-                    })
+                    pipeline.execute_unscoped(self.queue[attempt.index].sample.get(), &entry.plan)
                 });
                 for (slot, result) in results.into_iter().enumerate() {
                     normal_results[batch[slot]] = Some(result);

@@ -15,9 +15,10 @@
 //!   MAC counts) still rank sensibly.
 //! * **Dispatch feedback** — [`CalibratedCostModel::dispatch_table`] exports the
 //!   measured-fastest algorithm per shape as a
-//!   [`rescnn_tensor::AlgoCalibration`]; installing it
-//!   ([`rescnn_tensor::install_algo_calibration`]) makes `conv2d_dispatch`'s
-//!   *default* choice measurement-driven while explicit overrides keep winning.
+//!   [`rescnn_tensor::AlgoCalibration`]; an engine context carrying it
+//!   ([`rescnn_tensor::EngineContext::with_calibration`]) makes
+//!   `conv2d_dispatch`'s *default* choice measurement-driven inside that context
+//!   while explicit overrides keep winning.
 //! * **Persistence** — [`save`](CalibratedCostModel::save) /
 //!   [`load`](CalibratedCostModel::load) round-trip the measurements through a
 //!   line-oriented text file, so a serving process can start warm from a sweep
@@ -204,9 +205,10 @@ impl CalibratedCostModel {
     }
 
     /// Exports the measured-fastest algorithm per swept shape as the dispatch
-    /// table [`rescnn_tensor::conv2d_dispatch`] consults once installed with
-    /// [`rescnn_tensor::install_algo_calibration`]. Only shapes with at least
-    /// one measurement appear — unmeasured shapes keep the engine's heuristics.
+    /// table [`rescnn_tensor::conv2d_dispatch`] consults inside an engine
+    /// context carrying it ([`rescnn_tensor::EngineContext::with_calibration`]).
+    /// Only shapes with at least one measurement appear — unmeasured shapes keep
+    /// the engine's heuristics.
     pub fn dispatch_table(&self) -> AlgoCalibration {
         let mut table = AlgoCalibration::new();
         for (key, entries) in &self.measurements {

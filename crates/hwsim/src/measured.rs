@@ -156,8 +156,8 @@ impl MeasuredTuner {
                     | ConvAlgo::WinogradF4
                     | ConvAlgo::Int8
             );
-        // Scoped override: the sweep's thread count never leaks into (or races
-        // with) the process-wide engine configuration.
+        // Scoped budget: the sweep's thread count never leaks into the caller's
+        // engine context.
         let seconds = EngineContext::new().with_threads(threads).scope(|| {
             if prepacked {
                 let mut prepared =

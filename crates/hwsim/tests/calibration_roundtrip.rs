@@ -1,13 +1,14 @@
 //! The measured-dispatch feedback loop, end to end: sweep real kernels with the
 //! `MeasuredTuner`, persist the calibrated cost model to disk, reload it, and
-//! verify that installing its dispatch table makes `conv2d_dispatch` pick the
-//! measured-fastest algorithm per shape — with explicit overrides still winning.
+//! verify that an engine context carrying its dispatch table makes
+//! `conv2d_dispatch` pick the measured-fastest algorithm per shape — with
+//! explicit overrides still winning.
 
 use rescnn_hwsim::{CalibratedCostModel, CpuProfile, MeasuredSweepConfig, MeasuredTuner};
 use rescnn_models::ConvLayerShape;
 use rescnn_tensor::{
-    conv2d_dispatch, install_algo_calibration, installed_algo_calibration, planned_conv_algo,
-    select_algo, Conv2dParams, ConvAlgo, ConvShapeKey, EngineContext, Shape, Tensor,
+    conv2d_dispatch, installed_algo_calibration, planned_conv_algo, select_algo, Conv2dParams,
+    ConvAlgo, ConvShapeKey, EngineContext, Shape, Tensor,
 };
 
 /// Small layers keep the wall-clock sweep fast: one Winograd-eligible 3×3 and
@@ -46,14 +47,24 @@ fn measured_calibration_round_trips_and_steers_dispatch() {
     assert_eq!(reloaded.len(), model.len());
     assert_eq!(reloaded.dispatch_table(), model.dispatch_table());
 
-    // Install the reloaded table: conv2d_dispatch now runs the measured-fastest
+    // Scope the reloaded table: conv2d_dispatch now runs the measured-fastest
     // algorithm for each swept shape.
-    let table = reloaded.dispatch_table();
-    let previous = install_algo_calibration(Some(table));
-    assert!(previous.is_none());
-    assert!(installed_algo_calibration().is_some());
+    assert!(installed_algo_calibration().is_none());
+    let calibrated = EngineContext::new().with_calibration(reloaded.dispatch_table());
+    calibrated.scope(|| {
+        assert!(installed_algo_calibration().is_some());
+        steers_dispatch(&reloaded, &layers);
+    });
 
-    for layer in &layers {
+    // Leaving the scope restores heuristic-only dispatch.
+    assert!(installed_algo_calibration().is_none());
+    assert_eq!(select_algo(&layers[0].params, layers[0].input), ConvAlgo::Im2colPacked);
+}
+
+/// Checks, inside a context carrying `reloaded`'s dispatch table, that dispatch
+/// follows the measurements and that explicit pins still win.
+fn steers_dispatch(reloaded: &CalibratedCostModel, layers: &[ConvLayerShape]) {
+    for layer in layers {
         let fastest = reloaded.best_algo(layer);
         assert!(fastest.supports(&layer.params));
         assert_eq!(
@@ -85,19 +96,12 @@ fn measured_calibration_round_trips_and_steers_dispatch() {
         .is_none());
     assert_eq!(select_algo(&unseen, unseen_input), ConvAlgo::Im2colPacked);
 
-    // Scoped and process-wide overrides still beat the calibrated default.
+    // A pinned algorithm still beats the calibrated default.
     let layer = &layers[0];
-    let scoped = EngineContext::new()
-        .with_algo(ConvAlgo::Direct)
-        .scope(|| planned_conv_algo(&layer.params, layer.input));
-    assert_eq!(scoped, ConvAlgo::Direct);
-    rescnn_tensor::force_conv_algo(Some(ConvAlgo::Im2col));
-    assert_eq!(planned_conv_algo(&layer.params, layer.input), ConvAlgo::Im2col);
-    rescnn_tensor::force_conv_algo(None);
-
-    // Uninstall restores heuristic-only dispatch.
-    let removed = install_algo_calibration(None);
-    assert!(removed.is_some());
-    assert!(installed_algo_calibration().is_none());
-    assert_eq!(select_algo(&layers[0].params, layers[0].input), ConvAlgo::Im2colPacked);
+    for pin in [ConvAlgo::Direct, ConvAlgo::Im2col] {
+        let pinned = EngineContext::new()
+            .with_algo(pin)
+            .scope(|| planned_conv_algo(&layer.params, layer.input));
+        assert_eq!(pinned, pin);
+    }
 }

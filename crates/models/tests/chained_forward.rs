@@ -8,42 +8,8 @@
 //! Runs in CI's `RESCNN_THREADS={1,2,4}` determinism matrix alongside
 //! `prepacked_forward`.
 
-use std::sync::{Mutex, MutexGuard};
-
 use rescnn_models::{ArchSpec, BlockSpec, ModelKind, Network};
-use rescnn_tensor::{
-    scratch, set_chain_mode, set_num_threads, ActivationArena, ChainMode, ConvAlgo, EngineContext,
-    Shape, Tensor,
-};
-
-/// Serializes tests in this binary: they flip the process-wide chain mode and
-/// thread count and observe the global allocation counter.
-static LOCK: Mutex<()> = Mutex::new(());
-
-fn lock() -> MutexGuard<'static, ()> {
-    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-/// Restores [`ChainMode::Auto`] when dropped, so a failing assertion cannot
-/// leak a forced mode into later tests.
-struct ChainGuard;
-
-impl ChainGuard {
-    fn force() -> Self {
-        set_chain_mode(ChainMode::Force);
-        ChainGuard
-    }
-    fn off() -> Self {
-        set_chain_mode(ChainMode::Off);
-        ChainGuard
-    }
-}
-
-impl Drop for ChainGuard {
-    fn drop(&mut self) {
-        set_chain_mode(ChainMode::Auto);
-    }
-}
+use rescnn_tensor::{scratch, ActivationArena, ChainMode, ConvAlgo, EngineContext, Shape, Tensor};
 
 /// A thin residual network exercising both chain shapes — a basic block
 /// (3×3 → 3×3, both Winograd-eligible) and a stride-1 bottleneck
@@ -64,12 +30,10 @@ fn chain_arch() -> ArchSpec {
 
 #[test]
 fn chained_forward_matches_reference_bitwise() {
-    let _guard = lock();
     let net = Network::from_arch(&chain_arch(), 13);
     let input = Tensor::random_uniform(Shape::chw(3, 56, 56), 1.0, 41);
     for algo in [ConvAlgo::Winograd, ConvAlgo::WinogradF4] {
-        let _chain = ChainGuard::force();
-        let context = EngineContext::new().with_algo(algo);
+        let context = EngineContext::new().with_algo(algo).with_chain_mode(ChainMode::Force);
         let chained = context.scope(|| net.forward(&input).unwrap());
         // The reference path never chains: layer-at-a-time, PR-4-era kernels.
         let reference = context.scope(|| net.forward_reference(&input).unwrap());
@@ -83,18 +47,13 @@ fn chained_forward_matches_reference_bitwise() {
 
 #[test]
 fn chain_decision_reaches_the_arena_planner() {
-    let _guard = lock();
     let net = Network::from_arch(&chain_arch(), 13);
     let shape = Shape::chw(3, 56, 56);
     let context = EngineContext::new().with_algo(ConvAlgo::Winograd);
-    let forced = {
-        let _chain = ChainGuard::force();
-        context.scope(|| net.arena_plan(shape).unwrap())
-    };
-    let unchained = {
-        let _chain = ChainGuard::off();
-        context.scope(|| net.arena_plan(shape).unwrap())
-    };
+    let forced =
+        context.clone().with_chain_mode(ChainMode::Force).scope(|| net.arena_plan(shape).unwrap());
+    let unchained =
+        context.with_chain_mode(ChainMode::Off).scope(|| net.arena_plan(shape).unwrap());
     // The chained plan stages ring bands instead of full mid activations; if
     // the two plans were identical, chaining never engaged and every parity
     // assertion in this suite would be vacuous.
@@ -109,16 +68,13 @@ fn chain_decision_reaches_the_arena_planner() {
 /// chained and unchained execution share every FLOP and its order.
 #[test]
 fn auto_mode_is_bitwise_identical_across_thread_counts() {
-    let _guard = lock();
     let net = Network::from_arch(&chain_arch(), 29);
     let input = Tensor::random_uniform(Shape::chw(3, 48, 48), 1.0, 3);
-    let context = EngineContext::new().with_algo(ConvAlgo::Winograd);
     let mut outputs = Vec::new();
     for threads in [1usize, 2, 4] {
-        set_num_threads(threads);
+        let context = EngineContext::new().with_algo(ConvAlgo::Winograd).with_threads(threads);
         outputs.push(context.scope(|| net.forward(&input).unwrap()));
     }
-    set_num_threads(1);
     assert_eq!(outputs[0].as_slice(), outputs[1].as_slice(), "1 vs 2 threads must agree bitwise");
     assert_eq!(outputs[0].as_slice(), outputs[2].as_slice(), "1 vs 4 threads must agree bitwise");
 }
@@ -129,10 +85,9 @@ fn auto_mode_is_bitwise_identical_across_thread_counts() {
 /// tracked heap allocations.
 #[test]
 fn chained_forwards_stay_allocation_free_at_224_and_448() {
-    let _guard = lock();
-    let _chain = ChainGuard::force();
     let net = Network::from_arch(&chain_arch(), 7);
-    let context = EngineContext::new().with_algo(ConvAlgo::Winograd);
+    let context =
+        EngineContext::new().with_algo(ConvAlgo::Winograd).with_chain_mode(ChainMode::Force);
     for res in [224usize, 448] {
         let shape = Shape::chw(3, res, res);
         let input = Tensor::random_uniform(shape, 1.0, res as u64);

@@ -5,24 +5,16 @@
 //! must be bitwise identical to the PR-4-era reference execution at every
 //! thread count, and warm forwards must perform zero heap allocations
 //! (`rescnn_tensor::scratch::heap_allocations` covers both the kernel scratch
-//! pool and the activation arena).
+//! pool and the activation arena, counted per engine context — so the tests in
+//! this binary run concurrently without moving each other's counts).
 
-use std::sync::{Mutex, MutexGuard};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use rescnn_models::{ModelKind, Network};
 use rescnn_tensor::{scratch, ActivationArena, ConvAlgo, EngineContext, Shape, Tensor};
 
-/// Serializes tests in this binary: they observe the process-wide allocation
-/// counter, which any concurrent engine work would advance.
-static LOCK: Mutex<()> = Mutex::new(());
-
-fn lock() -> MutexGuard<'static, ()> {
-    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
 #[test]
 fn prepared_forward_matches_reference_across_families() {
-    let _guard = lock();
     for (kind, res) in
         [(ModelKind::ResNet18, 56usize), (ModelKind::ResNet50, 48), (ModelKind::MobileNetV2, 48)]
     {
@@ -40,7 +32,6 @@ fn prepared_forward_matches_reference_across_families() {
 
 #[test]
 fn prepared_forward_matches_reference_under_winograd_dispatch() {
-    let _guard = lock();
     // Forcing Winograd routes every dense stride-1 3×3 layer through the fused
     // (bias + residual + activation) Winograd output transform in the prepared
     // path, vs the PR-4 fused-bias-activation + separate add_relu composition
@@ -58,7 +49,6 @@ fn prepared_forward_matches_reference_under_winograd_dispatch() {
 /// logits vector per request (a plain `Vec`, not pool-tracked).
 #[test]
 fn warm_forwards_perform_zero_tracked_allocations() {
-    let _guard = lock();
     let net = Network::new(ModelKind::ResNet18, 5, 3);
     let input = Tensor::random_uniform(Shape::chw(3, 64, 64), 1.0, 7);
     for _ in 0..5 {
@@ -79,7 +69,6 @@ fn warm_forwards_perform_zero_tracked_allocations() {
 /// thread-local arenas persist across dispatches).
 #[test]
 fn warm_batched_forwards_perform_zero_tracked_allocations() {
-    let _guard = lock();
     let net = Network::new(ModelKind::ResNet18, 4, 5);
     let inputs: Vec<Tensor> =
         (0..8).map(|i| Tensor::random_uniform(Shape::chw(3, 48, 48), 1.0, i)).collect();
@@ -102,7 +91,6 @@ fn warm_batched_forwards_perform_zero_tracked_allocations() {
 /// performs zero tracked allocations.
 #[test]
 fn arena_plan_reservation_makes_first_forward_allocation_free() {
-    let _guard = lock();
     let net = Network::new(ModelKind::ResNet50, 4, 11);
     let shape = Shape::chw(3, 56, 56);
     let input = Tensor::random_uniform(shape, 1.0, 31);
@@ -133,7 +121,6 @@ fn arena_plan_reservation_makes_first_forward_allocation_free() {
 /// serves every bucket allocation-free.
 #[test]
 fn mixed_resolution_buckets_reach_steady_state() {
-    let _guard = lock();
     let net = Network::new(ModelKind::ResNet18, 3, 2);
     let mut arena = ActivationArena::new();
     let inputs: Vec<Tensor> = [32usize, 48, 64, 48, 32]
@@ -156,7 +143,6 @@ fn mixed_resolution_buckets_reach_steady_state() {
 /// memory-budget admission (`SloOptions::memory_budget_bytes`) relies on.
 #[test]
 fn measured_peak_live_bytes_never_exceed_the_planned_peak() {
-    let _guard = lock();
     for (kind, hw) in [(ModelKind::ResNet18, 56usize), (ModelKind::MobileNetV2, 48)] {
         let net = Network::new(kind, 4, 11);
         let shape = Shape::chw(3, hw, hw);
@@ -171,4 +157,49 @@ fn measured_peak_live_bytes_never_exceed_the_planned_peak() {
             "{kind} at {hw}²: measured peak {measured} exceeds planned peak {planned}"
         );
     }
+}
+
+/// Allocation counts belong to one computation: a sibling thread allocating
+/// scratch in a loop must not move the count of a warm forward measured inside a
+/// 2-thread context, and a cold forward in the same context is counted.
+#[test]
+fn warm_forward_count_ignores_a_sibling_thread_and_sees_pool_workers() {
+    let net = Network::new(ModelKind::ResNet18, 5, 13);
+    let input = Tensor::random_uniform(Shape::chw(3, 64, 64), 1.0, 17);
+    let cold_input = Tensor::random_uniform(Shape::chw(3, 88, 88), 1.0, 19);
+    let stop = AtomicBool::new(false);
+    let sibling_takes = AtomicU64::new(0);
+    let (warm, cold) = std::thread::scope(|scope| {
+        scope.spawn(|| {
+            while !stop.load(Ordering::Relaxed) {
+                // Dropped rather than given back, so every take allocates.
+                drop(scratch::take(1024));
+                sibling_takes.fetch_add(1, Ordering::Relaxed);
+            }
+        });
+        let counts = EngineContext::new().with_threads(2).scope(|| {
+            for _ in 0..5 {
+                net.forward(&input).unwrap();
+            }
+            let before = scratch::heap_allocations();
+            let sibling_before = sibling_takes.load(Ordering::Relaxed);
+            net.forward(&input).unwrap();
+            // Make sure the sibling allocated inside the measured window.
+            while sibling_takes.load(Ordering::Relaxed) == sibling_before {
+                std::hint::spin_loop();
+            }
+            let warm = scratch::heap_allocations() - before;
+
+            // A resolution no thread has served yet: the forward allocates; the
+            // tensor crate's pool tests pin that the chunks pool workers run
+            // for it count here too.
+            let before = scratch::heap_allocations();
+            net.forward(&cold_input).unwrap();
+            (warm, scratch::heap_allocations() - before)
+        });
+        stop.store(true, Ordering::Relaxed);
+        counts
+    });
+    assert_eq!(warm, 0, "a sibling thread's allocations leaked into this forward's count");
+    assert!(cold > 0, "a cold forward must count");
 }

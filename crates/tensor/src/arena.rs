@@ -11,9 +11,9 @@
 //! and takes them back with [`ActivationArena::give`]. A model runs its whole
 //! forward out of one arena: after a warm-up pass at each served resolution
 //! bucket, steady-state forwards perform zero heap allocations for
-//! activations. Allocation misses advance the same process-wide counter as the
-//! scratch pool ([`crate::scratch::heap_allocations`]), so one counter pins the
-//! engine's entire zero-allocation property.
+//! activations. Allocation misses advance the calling context's counter, like
+//! the scratch pool's ([`crate::scratch::heap_allocations`]), so one counter
+//! pins the engine's entire zero-allocation property.
 //!
 //! Buffer reuse is pure memory recycling — it never changes computed values —
 //! so arena-backed execution is bitwise identical to fresh-allocation
@@ -21,7 +21,7 @@
 
 use std::cell::RefCell;
 
-use crate::scratch;
+use crate::context::EngineContext;
 use crate::shape::Shape;
 use crate::tensor::Tensor;
 
@@ -81,7 +81,7 @@ impl ActivationArena {
         let mut buffer = match position {
             Some(index) => self.slots.swap_remove(index),
             None => {
-                scratch::record_external_allocation();
+                EngineContext::record_allocation();
                 Vec::with_capacity(len)
             }
         };
@@ -180,6 +180,7 @@ pub fn with_thread_arena<R>(f: impl FnOnce(&mut ActivationArena) -> R) -> R {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scratch;
 
     #[test]
     fn reuses_retired_buffers_without_allocating() {

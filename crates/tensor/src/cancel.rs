@@ -6,27 +6,27 @@
 //! spending compute on it. Cancellation is *cooperative*: nothing is
 //! interrupted mid-kernel. Instead the parallel dispatchers
 //! ([`for_each_chunk`](crate::parallel::for_each_chunk),
-//! [`for_each_task`](crate::parallel::for_each_task)) snapshot the calling
-//! scope's token at dispatch entry and check it at every chunk boundary,
-//! skipping the remaining chunk bodies once it fires. A dispatch that observed
-//! a cancellation leaves its output buffers partially written — the caller
-//! that installed the token must discard the result (the serving layer turns
-//! it into a typed `Cancelled` error and never reads the data).
+//! [`for_each_task`](crate::parallel::for_each_task)) read the token of the
+//! calling [`EngineContext`](crate::EngineContext) once per dispatch and check
+//! it at every chunk boundary, skipping the remaining chunk bodies once it
+//! fires. A dispatch that observed a cancellation leaves its output buffers
+//! partially written — the caller that installed the token must discard the
+//! result (the serving layer turns it into a typed `Cancelled` error and never
+//! reads the data).
 //!
-//! Tokens travel by *scope*, not by argument: [`CancellationToken::scope`]
-//! installs the token as the calling thread's current token, and the batch
-//! dispatchers re-install the submitting scope's token around every task they
-//! run on pool workers — so a token installed around a batched execution is
-//! observed at chunk granularity arbitrarily deep in the kernel stack, without
-//! any kernel signature knowing about it. With no token installed (the common
-//! case) the per-chunk check is a `None` test on a snapshotted `Option` —
-//! kernels pay no atomic traffic.
+//! Tokens travel in the context, not by argument:
+//! [`EngineContext::with_cancellation`](crate::EngineContext::with_cancellation)
+//! installs one for a scope, and the worker pool carries the submitter's
+//! context onto every worker that serves it — so a token installed around a
+//! batched execution is observed at chunk granularity arbitrarily deep in the
+//! kernel stack, without any kernel signature knowing about it. With no token
+//! installed (the common case) the per-chunk check is a `None` test — kernels
+//! pay no atomic traffic.
 //!
 //! Cancellation never changes *completed* results: a chunk either runs in
 //! full or not at all, and uncancelled dispatches are bitwise identical to
 //! runs without any token installed.
 
-use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -47,23 +47,6 @@ pub struct CancellationToken {
     flag: Arc<AtomicBool>,
 }
 
-thread_local! {
-    /// The calling thread's installed token, if any.
-    static CURRENT: RefCell<Option<CancellationToken>> = const { RefCell::new(None) };
-}
-
-/// Restores the previously-installed token on drop (also on panic), so scopes
-/// nest and a caught panic cannot leak a token onto a pool worker.
-struct ScopeGuard {
-    previous: Option<CancellationToken>,
-}
-
-impl Drop for ScopeGuard {
-    fn drop(&mut self) {
-        CURRENT.with(|cell| *cell.borrow_mut() = self.previous.take());
-    }
-}
-
 impl CancellationToken {
     /// A fresh, un-cancelled token.
     pub fn new() -> Self {
@@ -79,74 +62,43 @@ impl CancellationToken {
     pub fn is_cancelled(&self) -> bool {
         self.flag.load(Ordering::Acquire)
     }
-
-    /// Runs `f` with this token installed as the calling thread's current
-    /// token; the previous token (if any) is restored afterwards, panic or
-    /// not.
-    pub fn scope<R>(&self, f: impl FnOnce() -> R) -> R {
-        let previous = CURRENT.with(|cell| cell.borrow_mut().replace(self.clone()));
-        let _guard = ScopeGuard { previous };
-        f()
-    }
-
-    /// The calling thread's currently-installed token, if any. Parallel
-    /// dispatchers snapshot this once per dispatch.
-    pub fn current() -> Option<CancellationToken> {
-        CURRENT.with(|cell| cell.borrow().clone())
-    }
-}
-
-/// Re-installs `token` (when present) around `f` — how batch dispatchers carry
-/// the submitting scope's token onto pool workers.
-pub(crate) fn with_token_scope<R>(token: Option<&CancellationToken>, f: impl FnOnce() -> R) -> R {
-    match token {
-        Some(token) => token.scope(f),
-        None => f(),
-    }
-}
-
-/// Runs `f` with *no* token installed, restoring the caller's token afterwards.
-///
-/// Batch dispatchers use this around the slot-filling dispatch whose chunk
-/// bodies must always run (each records its task's result); the ambient token
-/// is re-installed *inside* every task instead, so cancellation is observed at
-/// task granularity there and at chunk granularity in the kernels below.
-pub(crate) fn mask_token_scope<R>(f: impl FnOnce() -> R) -> R {
-    let previous = CURRENT.with(|cell| cell.borrow_mut().take());
-    let _guard = ScopeGuard { previous };
-    f()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::EngineContext;
+
+    fn current_token() -> Option<CancellationToken> {
+        EngineContext::current().cancellation().cloned()
+    }
 
     #[test]
     fn scopes_nest_and_restore() {
-        assert!(CancellationToken::current().is_none());
+        assert!(current_token().is_none());
         let outer = CancellationToken::new();
-        outer.scope(|| {
-            assert!(!CancellationToken::current().expect("outer installed").is_cancelled());
+        EngineContext::new().with_cancellation(outer).scope(|| {
+            assert!(!current_token().expect("outer installed").is_cancelled());
             let inner = CancellationToken::new();
             inner.cancel();
-            inner.scope(|| {
-                assert!(CancellationToken::current().expect("inner installed").is_cancelled());
+            EngineContext::new().with_cancellation(inner).scope(|| {
+                assert!(current_token().expect("inner installed").is_cancelled());
             });
             assert!(
-                !CancellationToken::current().expect("outer restored").is_cancelled(),
+                !current_token().expect("outer restored").is_cancelled(),
                 "inner scope must restore the outer token"
             );
         });
-        assert!(CancellationToken::current().is_none());
+        assert!(current_token().is_none());
     }
 
     #[test]
     fn scope_restores_across_panics() {
         let token = CancellationToken::new();
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            token.scope(|| panic!("boom"));
+            EngineContext::new().with_cancellation(token).scope(|| panic!("boom"));
         }));
         assert!(caught.is_err());
-        assert!(CancellationToken::current().is_none(), "panic must not leak the token");
+        assert!(current_token().is_none(), "panic must not leak the token");
     }
 }

@@ -33,9 +33,12 @@
 //! [`ChainMode::Auto`] engages it only when the engine is single-threaded;
 //! parity across `RESCNN_THREADS` settings is preserved either way because
 //! chained and unchained results are bitwise equal.
+//!
+//! The mode is part of the calling [`EngineContext`]
+//! ([`with_chain_mode`](EngineContext::with_chain_mode)); outside every scope it
+//! is [`ChainMode::Auto`].
 
-use std::sync::atomic::{AtomicU8, Ordering};
-
+use crate::context::EngineContext;
 use crate::conv::{ConvAlgo, ConvEpilogue, PreparedLayer};
 use crate::engine::{self, FusedActivation, NR};
 use crate::error::{Result, TensorError};
@@ -62,26 +65,10 @@ pub enum ChainMode {
     Force,
 }
 
-/// Encoded [`ChainMode`] (`0` Auto, `1` Off, `2` Force).
-static CHAIN_MODE: AtomicU8 = AtomicU8::new(0);
-
-/// Sets the process-wide [`ChainMode`].
-pub fn set_chain_mode(mode: ChainMode) {
-    let encoded = match mode {
-        ChainMode::Auto => 0,
-        ChainMode::Off => 1,
-        ChainMode::Force => 2,
-    };
-    CHAIN_MODE.store(encoded, Ordering::Relaxed);
-}
-
-/// The process-wide [`ChainMode`].
+/// The calling context's [`ChainMode`] ([`ChainMode::Auto`] unless a scope sets
+/// one).
 pub fn chain_mode() -> ChainMode {
-    match CHAIN_MODE.load(Ordering::Relaxed) {
-        1 => ChainMode::Off,
-        2 => ChainMode::Force,
-        _ => ChainMode::Auto,
-    }
+    EngineContext::with_current(EngineContext::chain_mode).unwrap_or_default()
 }
 
 /// Whether chaining engages right now: a pure function of the [`ChainMode`]
@@ -510,12 +497,11 @@ mod tests {
 
     #[test]
     fn chained_winograd_to_pointwise_is_bitwise_identical() {
-        let _guard = crate::test_sync::global_state_lock();
-        set_chain_mode(ChainMode::Force);
         let producer = layer(6, 8, 3, 1, 11);
         let consumer = layer(8, 10, 1, 0, 12);
         let input = Tensor::random_uniform(Shape::chw(6, 17, 13), 1.0, 13);
-        let ctx = crate::context::EngineContext::new().with_algo(ConvAlgo::Winograd);
+        let ctx =
+            EngineContext::new().with_algo(ConvAlgo::Winograd).with_chain_mode(ChainMode::Force);
         let (chained, plan) = ctx.scope(|| run_pair_chained(&input, &producer, &consumer));
         assert_eq!(plan.consumer, ChainConsumer::Pointwise);
         let reference =
@@ -524,17 +510,15 @@ mod tests {
         for (i, (&a, &b)) in reference.as_slice().iter().zip(chained.as_slice()).enumerate() {
             assert_eq!(a.to_bits(), b.to_bits(), "element {i}: {a} vs {b}");
         }
-        set_chain_mode(ChainMode::Auto);
     }
 
     #[test]
     fn chained_winograd_to_winograd_is_bitwise_identical() {
-        let _guard = crate::test_sync::global_state_lock();
-        set_chain_mode(ChainMode::Force);
         let producer = layer(5, 7, 3, 1, 21);
         let consumer = layer(7, 6, 3, 1, 22);
         let input = Tensor::random_uniform(Shape::chw(5, 19, 15), 1.0, 23);
-        let ctx = crate::context::EngineContext::new().with_algo(ConvAlgo::WinogradF4);
+        let ctx =
+            EngineContext::new().with_algo(ConvAlgo::WinogradF4).with_chain_mode(ChainMode::Force);
         let (chained, plan) = ctx.scope(|| run_pair_chained(&input, &producer, &consumer));
         assert_eq!(plan.consumer, ChainConsumer::Winograd(ConvAlgo::WinogradF4));
         assert_eq!(plan.producer_algo, ConvAlgo::WinogradF4);
@@ -548,13 +532,10 @@ mod tests {
         for (&a, &b) in reference.as_slice().iter().zip(chained.as_slice()) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
-        set_chain_mode(ChainMode::Auto);
     }
 
     #[test]
     fn chain_plan_rejects_ineligible_pairs_and_off_mode() {
-        let _guard = crate::test_sync::global_state_lock();
-        set_chain_mode(ChainMode::Force);
         let producer = layer(4, 6, 3, 1, 31);
         let pointwise = layer(6, 8, 1, 0, 32);
         let strided = PreparedLayer::new(
@@ -564,7 +545,8 @@ mod tests {
         )
         .unwrap();
         let shape = Shape::chw(4, 16, 16);
-        let ctx = crate::context::EngineContext::new().with_algo(ConvAlgo::Winograd);
+        let ctx =
+            EngineContext::new().with_algo(ConvAlgo::Winograd).with_chain_mode(ChainMode::Force);
         ctx.scope(|| {
             assert!(chain_plan(&producer, &pointwise, shape).is_some());
             // Strided consumer: not chainable.
@@ -574,10 +556,9 @@ mod tests {
             assert!(chain_plan(&producer, &wrong, shape).is_none());
         });
         // Producer not Winograd-dispatched: no chain.
-        let im2col = crate::context::EngineContext::new().with_algo(ConvAlgo::Im2colPacked);
+        let im2col = ctx.clone().with_algo(ConvAlgo::Im2colPacked);
         im2col.scope(|| assert!(chain_plan(&producer, &pointwise, shape).is_none()));
-        set_chain_mode(ChainMode::Off);
-        ctx.scope(|| assert!(chain_plan(&producer, &pointwise, shape).is_none()));
-        set_chain_mode(ChainMode::Auto);
+        let off = ctx.with_chain_mode(ChainMode::Off);
+        off.scope(|| assert!(chain_plan(&producer, &pointwise, shape).is_none()));
     }
 }

@@ -24,26 +24,27 @@
 //!
 //! [`conv2d`] — the entry point the model zoo uses — routes through [`select_algo`],
 //! and [`conv2d_dispatch`] additionally reports which algorithm ran so autotuners and
-//! benchmarks can sweep algorithm × tiling per resolution. [`force_conv_algo`] pins the
-//! choice globally (benchmarks use it to time the legacy path through a whole network).
+//! benchmarks can sweep algorithm × tiling per resolution.
 //!
 //! Default selection is **measurement-aware**: an [`AlgoCalibration`] table — built by
-//! `rescnn-hwsim`'s measured tuner from wall-clock sweeps and installed process-wide
-//! via [`install_algo_calibration`] — maps exact layer shapes to their measured-fastest
-//! algorithm, and [`select_algo`] consults it before falling back to the static
-//! heuristics. Scoped ([`EngineContext::with_algo`](crate::EngineContext::with_algo))
-//! and global ([`force_conv_algo`]) overrides take precedence over calibration.
+//! `rescnn-hwsim`'s measured tuner from wall-clock sweeps — maps exact layer shapes to
+//! their measured-fastest algorithm. A table steers dispatch only inside an
+//! [`EngineContext`](crate::EngineContext) that carries it
+//! ([`with_calibration`](crate::EngineContext::with_calibration)); [`select_algo`]
+//! consults the calling context's table before falling back to the static heuristics.
+//! An algorithm pinned in the context
+//! ([`with_algo`](crate::EngineContext::with_algo)) takes precedence over
+//! calibration.
 //!
 //! Weights are stored as `O × I/g × K × K` tensors (encoded in the NCHW [`Shape`] as
 //! `n = O`, `c = I/g`, `h = w = K`).
 
-use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{Arc, OnceLock};
 
 use serde::{Deserialize, Serialize};
 
+use crate::context::EngineContext;
 use crate::engine::{self, FusedActivation, NR};
 use crate::error::{Result, TensorError};
 use crate::gemm::{gemm_blocked, GemmBlocking, MatDims};
@@ -465,11 +466,12 @@ impl ConvShapeKey {
 /// that was measured fastest on this host.
 ///
 /// Built by `rescnn-hwsim`'s calibrated cost model from `MeasuredTuner` sweeps
-/// (and persistable to disk there, so serving starts warm), then installed
-/// process-wide with [`install_algo_calibration`]. [`select_algo`] consults the
-/// installed table before its static heuristics; scoped and global algorithm
-/// overrides still win, and entries whose algorithm cannot execute the shape are
-/// ignored defensively.
+/// (and persistable to disk there, so serving starts warm), then carried by an
+/// [`EngineContext`](crate::EngineContext)
+/// ([`with_calibration`](crate::EngineContext::with_calibration)).
+/// [`select_algo`] consults the calling context's table before its static
+/// heuristics; a pinned algorithm still wins, and entries whose algorithm cannot
+/// execute the shape are ignored defensively.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct AlgoCalibration {
     choices: HashMap<ConvShapeKey, ConvAlgo>,
@@ -509,125 +511,28 @@ impl AlgoCalibration {
     }
 }
 
-/// Fast-path flag: true while a calibration table is installed, so the dispatch
-/// hot path skips the lock entirely in the (default) uncalibrated state.
-static CALIBRATION_ACTIVE: AtomicBool = AtomicBool::new(false);
-
-/// The installed calibration table (`None` by default).
-static CALIBRATION: RwLock<Option<Arc<AlgoCalibration>>> = RwLock::new(None);
-
-/// Bumped on every [`install_algo_calibration`] call, so caches derived from
-/// the installed table (e.g. the serving layer's per-resolution-bucket tables)
-/// can detect staleness without holding the lock.
-static CALIBRATION_GENERATION: AtomicU64 = AtomicU64::new(0);
-
-/// Monotonic generation of the installed calibration table: changes every time
-/// [`install_algo_calibration`] runs. Derived caches compare generations to
-/// decide whether their resolved tables are still current.
-pub fn algo_calibration_generation() -> u64 {
-    CALIBRATION_GENERATION.load(Ordering::Acquire)
-}
-
-thread_local! {
-    /// A per-thread scoped calibration table consulted before the process-wide
-    /// one — the batch scheduler resolves each resolution bucket's shapes once
-    /// and installs the result here for the bucket's whole execution, so the
-    /// hot path pays a thread-local read instead of an `RwLock` read per layer
-    /// per request.
-    static SCOPED_CALIBRATION: RefCell<Option<Arc<AlgoCalibration>>> = const { RefCell::new(None) };
-}
-
-/// Runs `f` with a calibration table installed for the current thread's dynamic
-/// extent, consulted by [`select_algo`] before the process-wide table.
-///
-/// Intended for tables *derived from* the current dispatch state (e.g. one
-/// [`planned_conv_algo`] resolution per shape of a serving bucket): installing
-/// such a table changes no decisions, it only removes the per-call lock. Scoped
-/// ([`EngineContext`](crate::EngineContext)) and global ([`force_conv_algo`])
-/// algorithm overrides still take precedence.
-pub fn with_algo_calibration_scope<R>(table: Arc<AlgoCalibration>, f: impl FnOnce() -> R) -> R {
-    struct Restore(Option<Arc<AlgoCalibration>>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            let previous = self.0.take();
-            SCOPED_CALIBRATION.with(|cell| *cell.borrow_mut() = previous);
-        }
-    }
-    let previous = SCOPED_CALIBRATION.with(|cell| cell.borrow_mut().replace(table));
-    let _restore = Restore(previous);
-    f()
-}
-
-/// Installs (or, with `None`, removes) the process-wide dispatch calibration
-/// table consulted by [`select_algo`]. Returns the previously installed table.
-///
-/// Calibration supplies *default choices* only — it never overrides an explicit
-/// [`EngineContext`](crate::EngineContext) or [`force_conv_algo`] pin, and shapes
-/// absent from the table fall back to the static heuristics — so installing one
-/// is safe for every concurrent caller and is intentionally process-wide: a table
-/// measured on this host is equally valid for every pipeline in the process.
-pub fn install_algo_calibration(
-    calibration: Option<AlgoCalibration>,
-) -> Option<Arc<AlgoCalibration>> {
-    let calibration = calibration.map(Arc::new);
-    let mut slot = CALIBRATION.write().unwrap_or_else(|e| e.into_inner());
-    // The fast-path flag is updated while holding the write lock, so it can
-    // never disagree with the stored table under concurrent install/uninstall.
-    CALIBRATION_ACTIVE.store(calibration.is_some(), Ordering::Release);
-    CALIBRATION_GENERATION.fetch_add(1, Ordering::AcqRel);
-    std::mem::replace(&mut *slot, calibration)
-}
-
-/// Merges `additions` into the process-wide calibration table in one step
-/// under the table's write lock — new entries win on conflicting shapes,
-/// everything else is preserved — so concurrent installers (a boot sweep
-/// finishing while a pipeline warm-starts from disk) can never lose each
-/// other's entries to a read-modify-write race. Returns the merged table size.
-pub fn merge_algo_calibration(additions: &AlgoCalibration) -> usize {
-    let mut slot = CALIBRATION.write().unwrap_or_else(|e| e.into_inner());
-    let mut merged = slot.as_deref().cloned().unwrap_or_default();
-    for (key, algo) in additions.entries() {
-        merged.set(*key, algo);
-    }
-    let len = merged.len();
-    CALIBRATION_ACTIVE.store(true, Ordering::Release);
-    CALIBRATION_GENERATION.fetch_add(1, Ordering::AcqRel);
-    *slot = Some(Arc::new(merged));
-    len
-}
-
-/// The currently installed calibration table, if any.
+/// The calling context's calibration table, if any (`None` under default
+/// dispatch).
 pub fn installed_algo_calibration() -> Option<Arc<AlgoCalibration>> {
-    if !CALIBRATION_ACTIVE.load(Ordering::Acquire) {
-        return None;
-    }
-    CALIBRATION.read().unwrap_or_else(|e| e.into_inner()).clone()
+    EngineContext::with_current(|context| context.calibration().cloned())
 }
 
-/// The calibrated algorithm for `(params, input)` when a table is installed, the
-/// entry exists, and its algorithm can actually execute the shape. A scoped
-/// table ([`with_algo_calibration_scope`]) is consulted first; shapes it misses
-/// fall through to the process-wide table.
+/// The calibrated algorithm for `(params, input)` when the calling context
+/// carries a table, the entry exists, and its algorithm can actually execute
+/// the shape.
 fn calibrated_algo(params: &Conv2dParams, input: Shape) -> Option<ConvAlgo> {
     let key = ConvShapeKey::new(*params, input);
-    let scoped =
-        SCOPED_CALIBRATION.with(|cell| cell.borrow().as_ref().and_then(|table| table.get(&key)));
-    if let Some(algo) = scoped {
-        if algo.supports(params) {
-            return Some(algo);
-        }
-    }
-    let table = installed_algo_calibration()?;
-    let algo = table.get(&key)?;
+    let algo =
+        EngineContext::with_current(|context| context.calibration().and_then(|t| t.get(&key)))?;
     algo.supports(params).then_some(algo)
 }
 
 /// Chooses the engine algorithm for a convolution shape.
 ///
 /// Dispatch rules, in priority order:
-/// 1. An installed [`AlgoCalibration`] entry for this exact shape — the algorithm
-///    wall-clock sweeps measured fastest on this host — wins (when it can execute
-///    the shape).
+/// 1. An entry for this exact shape in the calling context's [`AlgoCalibration`]
+///    table — the algorithm wall-clock sweeps measured fastest on this host — wins
+///    (when it can execute the shape).
 /// 2. 1×1 stride-1 pad-0 convolutions (the majority of ResNet-50 layers) skip im2col
 ///    entirely — the input planes already are the GEMM right-hand side.
 /// 3. Depthwise convolutions (`groups == in == out`, the MobileNetV2 workhorse) run the
@@ -648,34 +553,6 @@ pub fn select_algo(params: &Conv2dParams, input: Shape) -> ConvAlgo {
         ConvAlgo::Depthwise
     } else {
         ConvAlgo::Im2colPacked
-    }
-}
-
-/// `0` = no override; otherwise `ConvAlgo::ALL[value - 1]`.
-static FORCED_ALGO: AtomicU8 = AtomicU8::new(0);
-
-/// Globally overrides [`conv2d`]'s algorithm choice (`None` restores auto-dispatch).
-///
-/// Shapes the forced algorithm cannot execute fall back to [`select_algo`]. Benchmarks
-/// use this to drive an entire network through the legacy path for before/after
-/// comparisons.
-pub fn force_conv_algo(algo: Option<ConvAlgo>) {
-    let encoded = match algo {
-        None => 0,
-        Some(a) => 1 + ConvAlgo::ALL.iter().position(|x| *x == a).expect("algo in ALL") as u8,
-    };
-    FORCED_ALGO.store(encoded, Ordering::Relaxed);
-}
-
-fn forced_algo() -> Option<ConvAlgo> {
-    // A thread-scoped context override is more specific than the process-wide
-    // benchmark pin, so it wins.
-    if let Some(algo) = crate::context::EngineContext::current().algo {
-        return Some(algo);
-    }
-    match FORCED_ALGO.load(Ordering::Relaxed) {
-        0 => None,
-        encoded => Some(ConvAlgo::ALL[encoded as usize - 1]),
     }
 }
 
@@ -706,16 +583,16 @@ pub fn conv2d_with_algo(
     }
 }
 
-/// The algorithm [`conv2d_dispatch`] would run for `(params, input)` right now:
-/// the innermost override (scoped [`EngineContext`](crate::EngineContext), then
-/// the process-wide [`force_conv_algo`] pin) when it supports the shape, else the
-/// calibrated/heuristic [`select_algo`] choice.
+/// The algorithm [`conv2d_dispatch`] would run for `(params, input)` in the
+/// calling context: the algorithm the context pins
+/// ([`EngineContext::with_algo`](crate::EngineContext::with_algo)) when it supports
+/// the shape, else the calibrated/heuristic [`select_algo`] choice.
 ///
 /// Exposed so callers that keep per-algorithm cached state (e.g. the model zoo's
 /// cached Winograd filter transforms) can see the decision without running the
 /// convolution.
 pub fn planned_conv_algo(params: &Conv2dParams, input: Shape) -> ConvAlgo {
-    match forced_algo() {
+    match EngineContext::with_current(EngineContext::algo) {
         Some(forced) if forced.supports(params) => forced,
         _ => select_algo(params, input),
     }
@@ -1693,7 +1570,6 @@ mod tests {
 
     #[test]
     fn dispatch_selects_the_documented_algorithms() {
-        let _guard = crate::test_sync::global_state_lock();
         let shape = Shape::chw(16, 32, 32);
         assert_eq!(select_algo(&Conv2dParams::new(16, 32, 1, 1, 0), shape), ConvAlgo::Gemm1x1);
         assert_eq!(select_algo(&Conv2dParams::depthwise(16, 3, 1, 1), shape), ConvAlgo::Depthwise);
@@ -1704,7 +1580,6 @@ mod tests {
 
     #[test]
     fn dispatch_reports_and_matches_reference() {
-        let _guard = crate::test_sync::global_state_lock();
         for params in [
             Conv2dParams::new(5, 7, 3, 1, 1),
             Conv2dParams::new(5, 7, 1, 1, 0),
@@ -1721,18 +1596,17 @@ mod tests {
 
     #[test]
     fn forced_algo_overrides_and_falls_back() {
-        let _guard = crate::test_sync::global_state_lock();
         let params = Conv2dParams::new(4, 4, 3, 1, 1);
         let input = sample_input(Shape::chw(4, 10, 10), 1);
         let weight = sample_weight(&params, 2);
-        force_conv_algo(Some(ConvAlgo::Direct));
-        let (_, algo) = conv2d_dispatch(&input, &weight, None, &params).unwrap();
-        assert_eq!(algo, ConvAlgo::Direct);
-        // A forced algo that cannot run this shape falls back to auto-dispatch.
-        force_conv_algo(Some(ConvAlgo::Gemm1x1));
-        let (_, algo) = conv2d_dispatch(&input, &weight, None, &params).unwrap();
-        assert_eq!(algo, ConvAlgo::Im2colPacked);
-        force_conv_algo(None);
+        let pinned = |algo| {
+            EngineContext::new()
+                .with_algo(algo)
+                .scope(|| conv2d_dispatch(&input, &weight, None, &params).unwrap().1)
+        };
+        assert_eq!(pinned(ConvAlgo::Direct), ConvAlgo::Direct);
+        // A pinned algo that cannot run this shape falls back to auto-dispatch.
+        assert_eq!(pinned(ConvAlgo::Gemm1x1), ConvAlgo::Im2colPacked);
         let (_, algo) = conv2d_dispatch(&input, &weight, None, &params).unwrap();
         assert_eq!(algo, ConvAlgo::Im2colPacked);
     }
@@ -1761,7 +1635,6 @@ mod tests {
 
     #[test]
     fn calibration_steers_default_dispatch_but_not_overrides() {
-        let _guard = crate::test_sync::global_state_lock();
         let params = Conv2dParams::new(4, 4, 3, 1, 1);
         let input_shape = Shape::chw(4, 12, 12);
         let other_shape = Shape::chw(4, 20, 20);
@@ -1775,56 +1648,59 @@ mod tests {
         assert_eq!(table.len(), 2);
         assert_eq!(table.entries().count(), 2);
 
-        let previous = install_algo_calibration(Some(table));
-        assert!(previous.is_none());
-        assert!(installed_algo_calibration().is_some());
+        assert!(installed_algo_calibration().is_none(), "default dispatch has no table");
+        let calibrated = EngineContext::new().with_calibration(table);
+        calibrated.scope(|| {
+            assert_eq!(installed_algo_calibration().map(|t| t.len()), Some(2));
 
-        // Calibrated shape: the measured choice becomes the default.
-        assert_eq!(select_algo(&params, input_shape), ConvAlgo::Winograd);
-        assert_eq!(planned_conv_algo(&params, input_shape), ConvAlgo::Winograd);
-        let input = sample_input(input_shape, 1);
-        let weight = sample_weight(&params, 2);
-        let (out, algo) = conv2d_dispatch(&input, &weight, None, &params).unwrap();
-        assert_eq!(algo, ConvAlgo::Winograd);
-        let reference = conv2d_direct(&input, &weight, None, &params).unwrap();
-        assert!(out.max_abs_diff(&reference).unwrap() < 1e-4);
+            // Calibrated shape: the measured choice becomes the default.
+            assert_eq!(select_algo(&params, input_shape), ConvAlgo::Winograd);
+            assert_eq!(planned_conv_algo(&params, input_shape), ConvAlgo::Winograd);
+            let input = sample_input(input_shape, 1);
+            let weight = sample_weight(&params, 2);
+            let (out, algo) = conv2d_dispatch(&input, &weight, None, &params).unwrap();
+            assert_eq!(algo, ConvAlgo::Winograd);
+            let reference = conv2d_direct(&input, &weight, None, &params).unwrap();
+            assert!(out.max_abs_diff(&reference).unwrap() < 1e-4);
 
-        // Uncalibrated shape: heuristics still apply.
-        assert_eq!(select_algo(&params, other_shape), ConvAlgo::Im2colPacked);
-        // Unsupported calibrated entry: ignored, heuristics apply.
-        assert_eq!(select_algo(&pointwise, input_shape), ConvAlgo::Gemm1x1);
+            // Uncalibrated shape: heuristics still apply.
+            assert_eq!(select_algo(&params, other_shape), ConvAlgo::Im2colPacked);
+            // Unsupported calibrated entry: ignored, heuristics apply.
+            assert_eq!(select_algo(&pointwise, input_shape), ConvAlgo::Gemm1x1);
 
-        // Explicit overrides still beat calibration.
-        force_conv_algo(Some(ConvAlgo::Direct));
-        assert_eq!(planned_conv_algo(&params, input_shape), ConvAlgo::Direct);
-        force_conv_algo(None);
-        let scoped = crate::context::EngineContext::new()
-            .with_algo(ConvAlgo::Im2colPacked)
-            .scope(|| planned_conv_algo(&params, input_shape));
-        assert_eq!(scoped, ConvAlgo::Im2colPacked);
-
-        let removed = install_algo_calibration(None);
-        assert_eq!(removed.map(|t| t.len()), Some(2));
+            // An explicit pin still beats calibration.
+            let pinned = EngineContext::new()
+                .with_algo(ConvAlgo::Im2colPacked)
+                .scope(|| planned_conv_algo(&params, input_shape));
+            assert_eq!(pinned, ConvAlgo::Im2colPacked);
+        });
+        // The table ends with its scope and never reaches another thread.
         assert!(installed_algo_calibration().is_none());
         assert_eq!(select_algo(&params, input_shape), ConvAlgo::Im2colPacked);
+        let elsewhere = calibrated.scope(|| {
+            std::thread::spawn(move || select_algo(&params, input_shape)).join().unwrap()
+        });
+        assert_eq!(elsewhere, ConvAlgo::Im2colPacked);
     }
 
     #[test]
     fn calibration_scope_is_unwind_safe() {
-        let _guard = crate::test_sync::global_state_lock();
         let params = Conv2dParams::new(4, 4, 3, 1, 1);
         let shape = Shape::chw(4, 12, 12);
         let key = ConvShapeKey::new(params, shape);
-        let mut table = AlgoCalibration::new();
-        table.set(key, ConvAlgo::Winograd);
-        let inner = Arc::new(table);
+        let table_with = |algo| {
+            let mut table = AlgoCalibration::new();
+            table.set(key, algo);
+            EngineContext::new().with_calibration(table)
+        };
+        let inner = table_with(ConvAlgo::Winograd);
 
-        // A panic inside the scope must restore the previous scoped table (here:
+        // A panic inside the scope must restore the previous table (here:
         // none), exactly like a normal return — a serving request that dies
         // mid-bucket cannot leave its bucket's dispatch table installed on the
         // worker that ran it.
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            with_algo_calibration_scope(Arc::clone(&inner), || {
+            inner.scope(|| {
                 assert_eq!(select_algo(&params, shape), ConvAlgo::Winograd);
                 panic!("request died inside the scope");
             })
@@ -1838,14 +1714,9 @@ mod tests {
 
         // Nested scopes unwind layer by layer: the outer scope stays installed
         // after the inner one panics.
-        let outer = Arc::new({
-            let mut t = AlgoCalibration::new();
-            t.set(key, ConvAlgo::Direct);
-            t
-        });
-        with_algo_calibration_scope(Arc::clone(&outer), || {
+        table_with(ConvAlgo::Direct).scope(|| {
             let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                with_algo_calibration_scope(Arc::clone(&inner), || panic!("inner died"))
+                inner.scope(|| panic!("inner died"))
             }));
             assert!(caught.is_err());
             assert_eq!(select_algo(&params, shape), ConvAlgo::Direct, "outer scope lost");

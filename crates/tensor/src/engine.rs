@@ -900,34 +900,32 @@ mod tests {
 
     #[test]
     fn parallel_driver_is_deterministic_across_thread_counts() {
-        let _guard = crate::test_sync::global_state_lock();
         let (m, n, k) = (40usize, 120usize, 230usize);
         let a: Vec<f32> = (0..m * k).map(|i| ((i * 13) % 31) as f32 * 0.1 - 1.5).collect();
         let b: Vec<f32> = (0..k * n).map(|i| ((i * 11) % 29) as f32 * 0.1 - 1.4).collect();
         let mut bpack = vec![0.0; n.div_ceil(NR) * k * NR];
         pack_b(&b, k, n, 0, n, &mut bpack);
 
-        let original = crate::parallel::num_threads();
         let mut results = Vec::new();
         for threads in [1usize, 2, 5] {
-            crate::parallel::set_num_threads(threads);
             let mut out = vec![0.0f32; m * n];
-            parallel_packed_gemm(
-                GemmLhs::Rows { data: &a, lda: k },
-                m,
-                k,
-                &bpack,
-                n,
-                &mut out,
-                n,
-                0,
-                Epilogue::default(),
-                false,
-                true,
-            );
+            crate::EngineContext::new().with_threads(threads).scope(|| {
+                parallel_packed_gemm(
+                    GemmLhs::Rows { data: &a, lda: k },
+                    m,
+                    k,
+                    &bpack,
+                    n,
+                    &mut out,
+                    n,
+                    0,
+                    Epilogue::default(),
+                    false,
+                    true,
+                )
+            });
             results.push(out);
         }
-        crate::parallel::set_num_threads(original);
         assert_eq!(results[0], results[1], "1 vs 2 threads must agree bitwise");
         assert_eq!(results[0], results[2], "1 vs 5 threads must agree bitwise");
         let expect = reference(m, n, k, &a, &b);

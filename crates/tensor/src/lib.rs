@@ -30,22 +30,24 @@
 //!    workers, job-queue handoff; per-call cost is a wakeup rather than a thread
 //!    spawn). Every element is produced by exactly one task in one fixed
 //!    accumulation order, so results are bitwise identical across thread counts.
-//!    The worker budget comes from the innermost [`EngineContext`] scope, then
-//!    [`set_num_threads`] / `RESCNN_THREADS`.
+//!    The worker budget comes from the calling [`EngineContext`], else the
+//!    process default read once from `RESCNN_THREADS`.
 //! 5. **Dispatch** ([`select_algo`]) — 1×1 stride-1 convolutions route straight to
 //!    GEMM over the input planes ([`ConvAlgo::Gemm1x1`]), depthwise shapes to a
 //!    dedicated shift-and-accumulate kernel ([`ConvAlgo::Depthwise`]), everything
 //!    else to packed im2col stripes ([`ConvAlgo::Im2colPacked`]). A Winograd
 //!    F(2×2, 3×3) arm ([`ConvAlgo::Winograd`], module [`winograd`]) covers stride-1
 //!    dense 3×3 layers with ~2.25× fewer multiplies; it becomes the default for a
-//!    shape when an installed measurement-derived [`AlgoCalibration`] table (see
-//!    [`install_algo_calibration`]) says it was fastest there. The chosen
-//!    algorithm is observable via [`conv2d_dispatch`] and can be pinned per scope
-//!    with [`EngineContext::with_algo`] or process-wide with [`force_conv_algo`]
-//!    so autotuners and benchmarks can sweep algorithm × tiling per resolution.
-//! 6. **Per-call configuration** ([`EngineContext`]) — thread budgets and
-//!    algorithm overrides are scoped values rather than global mutations, so
-//!    concurrent pipelines with different settings never race.
+//!    shape when the calling context's measurement-derived [`AlgoCalibration`]
+//!    table (see [`EngineContext::with_calibration`]) says it was fastest there.
+//!    The chosen algorithm is observable via [`conv2d_dispatch`] and can be pinned
+//!    with [`EngineContext::with_algo`] so autotuners and benchmarks can sweep
+//!    algorithm × tiling per resolution.
+//! 6. **Engine context** ([`EngineContext`]) — the thread budget, algorithm pin,
+//!    calibration table, [`ChainMode`], [`CancellationToken`] and allocation
+//!    counter are one scoped value that the worker pool carries onto its workers.
+//!    There is no process-wide setter, so concurrent pipelines with different
+//!    settings never race.
 //!
 //! # Examples
 //! ```
@@ -82,16 +84,15 @@ pub mod winograd;
 pub use arena::{with_thread_arena, ActivationArena};
 pub use cancel::CancellationToken;
 pub use chain::{
-    chain_enabled, chain_mode, chain_plan, conv2d_chain_fused_into, set_chain_mode, ChainConsumer,
-    ChainMode, ChainPlan,
+    chain_enabled, chain_mode, chain_plan, conv2d_chain_fused_into, ChainConsumer, ChainMode,
+    ChainPlan,
 };
 pub use context::EngineContext;
 pub use conv::{
-    algo_calibration_generation, conv2d, conv2d_depthwise, conv2d_direct, conv2d_dispatch,
-    conv2d_gemm_1x1, conv2d_im2col, conv2d_im2col_packed, conv2d_tiled, conv2d_with_algo,
-    force_conv_algo, im2col, install_algo_calibration, installed_algo_calibration,
-    merge_algo_calibration, planned_conv_algo, select_algo, with_algo_calibration_scope,
-    AlgoCalibration, ConvAlgo, ConvEpilogue, ConvShapeKey, ConvTiling, PreparedLayer,
+    conv2d, conv2d_depthwise, conv2d_direct, conv2d_dispatch, conv2d_gemm_1x1, conv2d_im2col,
+    conv2d_im2col_packed, conv2d_tiled, conv2d_with_algo, im2col, installed_algo_calibration,
+    planned_conv_algo, select_algo, AlgoCalibration, ConvAlgo, ConvEpilogue, ConvShapeKey,
+    ConvTiling, PreparedLayer,
 };
 pub use engine::{Epilogue, FusedActivation, GemmLhs, PreparedGemmA, PreparedGemmB};
 pub use error::{Result, TensorError};
@@ -102,8 +103,8 @@ pub use ops::{
     max_pool2d_into, relu, relu6, relu6_in_place, relu_in_place, sigmoid, softmax,
 };
 pub use parallel::{
-    num_threads, panic_message, parallel_map_isolated, set_num_threads, shutdown_pool,
-    split_parallelism, DrainReport,
+    num_threads, panic_message, parallel_map_isolated, shutdown_pool, split_parallelism,
+    DrainReport,
 };
 pub use quant::{
     conv2d_int8, int8_unit_error, tensor_range, ActQuant, QuantizedConv, INT8_TOLERANCE,
@@ -118,21 +119,6 @@ pub use winograd::{
     conv2d_winograd_f4_prepared, conv2d_winograd_fused_into, conv2d_winograd_prepared,
     winograd_f4_unit_error, WinogradFilter, WINOGRAD_F4_TOLERANCE,
 };
-
-#[cfg(test)]
-pub(crate) mod test_sync {
-    //! Serialization of tests that mutate process-global engine state (the worker
-    //! thread count, the forced conv algorithm): without it, concurrent tests in
-    //! this binary race and fail intermittently.
-
-    use std::sync::{Mutex, MutexGuard};
-
-    static LOCK: Mutex<()> = Mutex::new(());
-
-    pub(crate) fn global_state_lock() -> MutexGuard<'static, ()> {
-        LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-}
 
 /// Commonly used items, intended for glob import.
 pub mod prelude {
@@ -176,7 +162,6 @@ mod proptests {
         #[test]
         fn engine_dispatch_matches_direct((ic, oc, k, s, p, hw) in small_conv_case()) {
             prop_assume!(hw + 2 * p >= k);
-            let _guard = crate::test_sync::global_state_lock();
             let params = Conv2dParams::new(ic, oc, k, s, p);
             let input = Tensor::random_uniform(Shape::chw(ic, hw, hw), 1.0, (ic * 7 + hw) as u64);
             let weight = Tensor::random_uniform(Shape::new(oc, ic, k, k), 0.7, (oc * 5 + k) as u64);

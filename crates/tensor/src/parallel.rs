@@ -3,24 +3,27 @@
 //! # Architecture
 //!
 //! The engine parallelizes by splitting output buffers into disjoint chunks and
-//! handing each chunk to a worker ([`for_each_chunk`]). Earlier revisions spawned
-//! scoped threads per call, which cost ~tens of µs of spawn/join per GEMM and meant
-//! worker-side thread-local scratch arenas never survived a call. Dispatch now goes
-//! through a lazily-initialized **persistent pool**:
+//! handing each chunk to a worker ([`for_each_chunk`], [`for_each_task`]). Dispatch
+//! goes through a lazily-initialized **persistent pool**:
 //!
 //! * **Parked workers.** The first parallel dispatch spawns `num_threads() − 1`
 //!   workers (the submitting thread always participates as a worker itself). Idle
 //!   workers park on a condvar; waking them is the only per-call cost.
-//! * **Job-queue handoff.** A dispatch publishes a [`Job`] — a type-erased task
-//!   plus an atomic chunk cursor — onto a shared queue and wakes the pool. Workers
-//!   claim chunk indices with a `fetch_add`, so uneven chunk costs load-balance
-//!   automatically, and several jobs can be in flight at once (concurrent
-//!   submitters from different threads never block each other's progress: each
-//!   submitter also executes its own job's chunks).
-//! * **Graceful resize.** [`set_num_threads`] only stores the target; the pool
-//!   grows (spawns) or shrinks (excess workers exit on their next wakeup) at the
-//!   next dispatch. [`shutdown_pool`] parks the whole pool for idle teardown; the
-//!   next dispatch transparently reinitializes it.
+//! * **Job-queue handoff.** A dispatch publishes a [`Job`] — a type-erased task,
+//!   an atomic chunk cursor and the submitter's [`EngineContext`] — onto a shared
+//!   queue and wakes the pool. Workers claim chunk indices with a `fetch_add`, so
+//!   uneven chunk costs load-balance automatically, and several jobs can be in
+//!   flight at once (concurrent submitters from different threads never block
+//!   each other's progress: each submitter also executes its own job's chunks).
+//! * **The submitter's context travels with the job.** A worker installs the
+//!   job's context once per job it joins, so kernel chunks and batch tasks see the
+//!   caller's algorithm pin, calibration table, chain mode and cancellation token,
+//!   and count their allocations against the caller's counter. Its thread budget
+//!   is narrowed to one on the worker, so nested dispatch from a chunk body runs
+//!   inline.
+//! * **Grow-only sizing.** The pool grows (spawns) when a dispatch's budget
+//!   exceeds it and never shrinks while running; [`shutdown_pool`] parks the whole
+//!   pool for idle teardown, and the next dispatch transparently reinitializes it.
 //! * **Panic containment.** A panicking task marks its job poisoned, remaining
 //!   chunks of that job are drained without executing, and the panic payload is
 //!   re-raised on the submitting thread. Workers survive task panics, and other
@@ -43,57 +46,36 @@
 //! determinism suite in `tests/engine_parity.rs` (run in CI under
 //! `RESCNN_THREADS=1,2,4`) pins this down.
 //!
-//! The effective worker count comes from the calling thread's
-//! [`EngineContext`](crate::EngineContext) override when one is installed, then
-//! [`set_num_threads`], then the `RESCNN_THREADS` environment variable, then
-//! `std::thread::available_parallelism`.
+//! The effective worker count is the calling [`EngineContext`]'s budget; outside
+//! every scope it is the process default, read once from the `RESCNN_THREADS`
+//! environment variable, else `std::thread::available_parallelism`.
 
 use std::any::Any;
-use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 
 use crate::cancel::CancellationToken;
+use crate::context::EngineContext;
 
-static NUM_THREADS: AtomicUsize = AtomicUsize::new(0);
+/// The process default worker budget: `RESCNN_THREADS` when it parses to at
+/// least 1, else the host's available parallelism. Read once.
+fn default_threads() -> usize {
+    static DEFAULT: OnceLock<usize> = OnceLock::new();
+    *DEFAULT.get_or_init(|| {
+        std::env::var("RESCNN_THREADS")
+            .ok()
+            .and_then(|v| v.parse::<usize>().ok())
+            .filter(|&n| n >= 1)
+            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+    })
+}
 
-/// Number of worker threads the engine may use (always at least 1).
-///
-/// A thread-scoped [`EngineContext`](crate::EngineContext) override takes
-/// precedence over the process-wide setting, which lets concurrent pipelines run
-/// with different thread budgets without racing on global state.
+/// Number of worker threads the engine may use (always at least 1): the calling
+/// [`EngineContext`]'s budget, else the process default.
 pub fn num_threads() -> usize {
-    if let Some(threads) = crate::context::EngineContext::current().threads {
-        return threads;
-    }
-    configured_num_threads()
-}
-
-/// The process-wide worker-thread setting, ignoring any thread-scoped override.
-pub(crate) fn configured_num_threads() -> usize {
-    let cached = NUM_THREADS.load(Ordering::Relaxed);
-    if cached != 0 {
-        return cached;
-    }
-    let configured = std::env::var("RESCNN_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
-    NUM_THREADS.store(configured, Ordering::Relaxed);
-    configured
-}
-
-/// Overrides the engine's process-wide worker-thread count (clamped to at least 1).
-///
-/// The persistent pool resizes gracefully at the next dispatch: it spawns
-/// additional workers when the target grew and retires excess workers when it
-/// shrank. For a per-call bound that does not mutate process state, use
-/// [`EngineContext::with_threads`](crate::EngineContext::with_threads) instead.
-pub fn set_num_threads(threads: usize) {
-    NUM_THREADS.store(threads.max(1), Ordering::Relaxed);
+    EngineContext::with_current(EngineContext::threads).unwrap_or_else(default_threads)
 }
 
 /// Splits a thread budget between sample-level (outer) and kernel-level (inner)
@@ -120,39 +102,31 @@ pub fn split_parallelism(batch: usize, threads: usize) -> (usize, usize) {
 /// of indexed batch dispatch (used by `Network::forward_batch` and the core
 /// `BatchScheduler`).
 ///
-/// The caller's [`EngineContext`](crate::EngineContext) is snapshotted and
-/// re-installed around every task — also on pool worker threads, which have no
-/// ambient scope of their own — with only the thread budget replaced by the
-/// inner split. Results are therefore identical to running `f` sequentially in
-/// the caller's scope, whatever the schedule.
+/// Every task runs in the caller's [`EngineContext`] with only the thread budget
+/// replaced by the inner split — on this thread through a scope, on pool workers
+/// because the pool carries the submitter's context. Results are therefore
+/// identical to running `f` sequentially in the caller's scope, whatever the
+/// schedule. The slots are always all filled: a cancellation token in scope is
+/// left to the tasks (and the kernels inside them) to observe.
 pub fn parallel_map_indexed<R, F>(count: usize, threads: usize, f: F) -> Vec<R>
 where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
     let (outer, inner) = split_parallelism(count, threads);
-    let mut task_context = crate::context::EngineContext::current();
-    task_context.threads = Some(inner.max(1));
-    if outer <= 1 {
-        return task_context.scope(|| (0..count).map(f).collect());
-    }
-    // Pool workers have no ambient scopes of their own: carry the submitting
-    // thread's cancellation token (like the engine context above) onto them.
-    let token = crate::cancel::CancellationToken::current();
-    let mut slots: Vec<Option<R>> = std::iter::repeat_with(|| None).take(count).collect();
-    // The dispatching scope bounds how many pool workers join the outer batch.
-    // The token is masked around the slot-fill dispatch (every slot must be
-    // recorded, cancelled or not) and re-installed inside each task.
-    crate::cancel::mask_token_scope(|| {
-        crate::context::EngineContext::new().with_threads(outer).scope(|| {
-            for_each_chunk(&mut slots, 1, true, |index, slot| {
-                slot[0] = Some(crate::cancel::with_token_scope(token.as_ref(), || {
-                    task_context.scope(|| f(index))
-                }));
-            });
+    EngineContext::new().with_threads(inner).scope(|| {
+        if outer.min(count) <= 1 {
+            return (0..count).map(f).collect();
+        }
+        let mut slots: Vec<Option<R>> = std::iter::repeat_with(|| None).take(count).collect();
+        let base = SendPtr(slots.as_mut_ptr());
+        run_on_pool(count, outer.min(count), &|index: usize| {
+            // Safety: every index in 0..count writes its own slot exactly once,
+            // and `slots` outlives the dispatch.
+            unsafe { *base.get().add(index) = Some(f(index)) };
         });
-    });
-    slots.into_iter().map(|slot| slot.expect("every batch slot was executed")).collect()
+        slots.into_iter().map(|slot| slot.expect("every batch slot was executed")).collect()
+    })
 }
 
 /// Renders a panic payload as a human-readable message, for converting caught
@@ -174,14 +148,12 @@ pub fn panic_message(payload: Box<dyn Any + Send>) -> String {
 /// re-raising on the submitter, so every other task still completes and returns
 /// its result.
 ///
-/// The catch wraps only the caller's `f` — the surrounding
-/// [`EngineContext`](crate::EngineContext) scope (and any scoped calibration
-/// installed inside `f`) unwinds through its drop guards as usual, so a caught
-/// panic cannot leak thread-scoped state onto a pool worker. Because the pool's
-/// job never observes the panic, the job is never poisoned: the chunk
-/// decomposition, scheduling, and surviving tasks' results are identical to a
-/// run where the panicking task had merely returned an error, for every thread
-/// count.
+/// The catch wraps only the caller's `f` — any [`EngineContext`] scope entered
+/// inside `f` unwinds through its drop guard as usual, so a caught panic cannot
+/// leak scoped state onto a pool worker. Because the pool's job never observes
+/// the panic, the job is never poisoned: the chunk decomposition, scheduling,
+/// and surviving tasks' results are identical to a run where the panicking task
+/// had merely returned an error, for every thread count.
 ///
 /// A [`CancellationToken`](crate::CancellationToken) in scope is honoured at
 /// *task* boundaries here: a task whose token has fired before it starts
@@ -198,7 +170,7 @@ where
     F: Fn(usize) -> R + Sync,
 {
     parallel_map_indexed(count, threads, |index| {
-        let token = crate::cancel::CancellationToken::current();
+        let token = EngineContext::with_current(|context| context.cancellation().cloned());
         if token.as_ref().is_some_and(CancellationToken::is_cancelled) {
             return Err(format!("cancelled before start: task {index}"));
         }
@@ -214,9 +186,12 @@ where
 ///
 /// The raw pointer refers into the submitting thread's stack frame; it is only
 /// dereferenced for chunk indices below `total`, all of which complete before the
-/// submitter returns from [`for_each_chunk`], so the referent always outlives use.
+/// submitter returns from [`run_on_pool`], so the referent always outlives use.
 struct Job {
     task: *const (dyn Fn(usize) + Sync),
+    /// The submitter's context with a budget of one, installed by every worker
+    /// that joins the job.
+    context: EngineContext,
     /// Next chunk index to claim.
     cursor: AtomicUsize,
     /// Total number of chunks.
@@ -225,10 +200,6 @@ struct Job {
     /// lock). Bounds the job's parallelism to its submitter's thread budget even
     /// when the shared pool is larger.
     tickets: AtomicUsize,
-    /// The submitter's total worker budget for this job (including itself):
-    /// concurrent resize requests must not shrink the pool below what in-flight
-    /// jobs were promised.
-    workers: usize,
     /// Set once any chunk of this job panics; remaining chunks drain without running.
     poisoned: AtomicBool,
     /// Completed-chunk count plus the first panic payload, guarded for the condvar.
@@ -237,7 +208,7 @@ struct Job {
 }
 
 // Safety: the task pointer is only dereferenced while the submitting thread blocks
-// in `for_each_chunk` (see `Job` docs); the closure itself is `Sync`, so calling it
+// in `run_on_pool` (see `Job` docs); the closure itself is `Sync`, so calling it
 // from several threads is sound.
 unsafe impl Send for Job {}
 unsafe impl Sync for Job {}
@@ -299,13 +270,14 @@ struct PoolState {
     jobs: Vec<Arc<Job>>,
     /// Workers currently live (parked or running).
     alive: usize,
-    /// Desired pool size; excess workers retire at their next wakeup.
+    /// Desired pool size. Only a shutdown lowers it (to zero); workers above it
+    /// retire once the queue is drained.
     target: usize,
 }
 
 struct PoolShared {
     state: Mutex<PoolState>,
-    /// Workers park here; signalled on new jobs and on resize/shutdown.
+    /// Workers park here; signalled on new jobs and on shutdown.
     work_signal: Condvar,
     /// Signalled by each retiring worker so shutdown can await an empty pool.
     retire_signal: Condvar,
@@ -321,27 +293,11 @@ fn pool() -> &'static PoolShared {
     })
 }
 
-thread_local! {
-    /// True on pool worker threads; nested dispatch from a worker runs inline.
-    static IS_POOL_WORKER: Cell<bool> = const { Cell::new(false) };
-}
-
 fn worker_main(shared: &'static PoolShared) {
-    IS_POOL_WORKER.with(|flag| flag.set(true));
     loop {
         let job = {
             let mut state = shared.state.lock().unwrap_or_else(|e| e.into_inner());
             loop {
-                // A plain shrink retires immediately (resize tests rely on
-                // excess workers leaving at their next wakeup); a *shutdown*
-                // (target == 0) drains first — queued jobs are claimed and
-                // finished before this worker retires.
-                let draining = state.target == 0;
-                if !draining && state.alive > state.target {
-                    state.alive -= 1;
-                    shared.retire_signal.notify_all();
-                    return;
-                }
                 let available = state
                     .jobs
                     .iter()
@@ -351,6 +307,8 @@ fn worker_main(shared: &'static PoolShared) {
                     job.tickets.fetch_sub(1, Ordering::Relaxed);
                     break Arc::clone(job);
                 }
+                // Only a shutdown puts the census above the target; queued jobs
+                // were drained above before this worker retires.
                 if state.alive > state.target {
                     state.alive -= 1;
                     shared.retire_signal.notify_all();
@@ -359,45 +317,7 @@ fn worker_main(shared: &'static PoolShared) {
                 state = shared.work_signal.wait(state).unwrap_or_else(|e| e.into_inner());
             }
         };
-        job.work();
-    }
-}
-
-/// Grows or shrinks the pool toward `target` workers. Growth is synchronous
-/// (threads are spawned before returning); shrinking is lazy (excess workers
-/// retire at their next wakeup, triggered here) and never drops below what
-/// unfinished in-flight jobs were promised — a concurrent narrow-budget
-/// submitter must not retire workers out from under a wide job mid-run.
-fn resize_pool(shared: &'static PoolShared, target: usize) {
-    let mut state = shared.state.lock().unwrap_or_else(|e| e.into_inner());
-    let in_flight = state
-        .jobs
-        .iter()
-        .filter(|job| !job.exhausted())
-        .map(|job| job.workers.saturating_sub(1))
-        .max()
-        .unwrap_or(0);
-    let target = target.max(in_flight);
-    state.target = target;
-    if state.alive > target {
-        shared.work_signal.notify_all();
-    }
-    // Wake any in-progress shutdown_pool so it observes the raised target and
-    // cedes to the new work instead of waiting forever.
-    shared.retire_signal.notify_all();
-    while state.alive < target {
-        // Failing to spawn (resource exhaustion) degrades to fewer workers; the
-        // submitting thread always makes progress on its own.
-        let spawned: std::io::Result<JoinHandle<()>> = std::thread::Builder::new()
-            .name("rescnn-pool-worker".into())
-            .spawn(move || worker_main(shared));
-        match spawned {
-            Ok(handle) => {
-                drop(handle); // detached: lifecycle is tracked via the census
-                state.alive += 1;
-            }
-            Err(_) => break,
-        }
+        job.context.clone().install(|| job.work());
     }
 }
 
@@ -451,26 +371,46 @@ pub fn pool_size() -> usize {
 
 /// Runs `task(i)` for every `i` in `0..total` across the persistent pool,
 /// blocking until all have completed. The submitting thread participates, so at
-/// most `workers - 1` pool workers join in.
+/// most `workers - 1` pool workers join in, each running in the submitter's
+/// context with a budget of one.
 fn run_on_pool(total: usize, workers: usize, task: &(dyn Fn(usize) + Sync)) {
     let shared = pool();
     // Erase the stack lifetime: `Job` documents why the pointer never dangles.
     let task: *const (dyn Fn(usize) + Sync) = unsafe { std::mem::transmute(task) };
     let job = Arc::new(Job {
         task,
+        context: EngineContext::current().with_threads(1),
         cursor: AtomicUsize::new(0),
         total,
         tickets: AtomicUsize::new(workers.saturating_sub(1)),
-        workers,
         poisoned: AtomicBool::new(false),
         done: Mutex::new(JobDone { completed: 0, panic: None }),
         done_signal: Condvar::new(),
     });
-    // The pool tracks the process-wide setting; a larger per-call context budget
-    // grows it further for this dispatch.
-    resize_pool(shared, workers.max(configured_num_threads()).saturating_sub(1));
     {
         let mut state = shared.state.lock().unwrap_or_else(|e| e.into_inner());
+        // The pool is sized for the process default and grows for larger budgets.
+        let target = workers.max(default_threads()) - 1;
+        if state.target < target {
+            state.target = target;
+            // Wake any in-progress shutdown_pool so it observes the raised target
+            // and cedes to the new work instead of waiting forever.
+            shared.retire_signal.notify_all();
+        }
+        while state.alive < state.target {
+            // Failing to spawn (resource exhaustion) degrades to fewer workers; the
+            // submitting thread always makes progress on its own.
+            let spawned: std::io::Result<JoinHandle<()>> = std::thread::Builder::new()
+                .name("rescnn-pool-worker".into())
+                .spawn(move || worker_main(shared));
+            match spawned {
+                Ok(handle) => {
+                    drop(handle); // detached: lifecycle is tracked via the census
+                    state.alive += 1;
+                }
+                Err(_) => break,
+            }
+        }
         state.jobs.push(Arc::clone(&job));
         shared.work_signal.notify_all();
     }
@@ -487,44 +427,23 @@ fn run_on_pool(total: usize, workers: usize, task: &(dyn Fn(usize) + Sync)) {
 
 /// Splits `data` into consecutive chunks of `chunk_len` elements (the final chunk may
 /// be shorter) and invokes `f(chunk_index, chunk)` for every chunk, on pool workers
-/// when `parallel` is set and the configuration allows it.
+/// when `parallel` is set and the context's budget allows it.
 ///
 /// Chunks are claimed from a shared cursor, so uneven chunk costs load-balance
 /// automatically. `f` must be safe to call concurrently; each invocation owns its
 /// chunk exclusively. Called from inside a pool worker (nested parallelism), the
-/// chunks run inline on that worker in ascending order.
+/// chunks run inline on that worker in ascending order. A cancellation token in
+/// the context skips every chunk body not yet started once it fires (the output
+/// is then unspecified — the scope that installed the token discards it).
 pub fn for_each_chunk<T, F>(data: &mut [T], chunk_len: usize, parallel: bool, f: F)
 where
     T: Send,
     F: Fn(usize, &mut [T]) + Sync,
 {
     let chunk_len = chunk_len.max(1);
-    let n_chunks = data.len().div_ceil(chunk_len);
-    let nested = IS_POOL_WORKER.with(|flag| flag.get());
-    let workers = if parallel && !nested { num_threads().min(n_chunks) } else { 1 };
-    // Snapshotted once per dispatch; checked at every chunk boundary. A fired
-    // token skips the remaining chunk bodies (output is then unspecified — the
-    // scope that installed the token discards the result).
-    let token = CancellationToken::current();
-    if workers <= 1 {
-        for (index, chunk) in data.chunks_mut(chunk_len).enumerate() {
-            if let Some(token) = &token {
-                if token.is_cancelled() {
-                    return;
-                }
-            }
-            f(index, chunk);
-        }
-        return;
-    }
     let len = data.len();
     let base = SendPtr(data.as_mut_ptr());
-    run_on_pool(n_chunks, workers, &move |index: usize| {
-        if let Some(token) = &token {
-            if token.is_cancelled() {
-                return;
-            }
-        }
+    for_each_task(len.div_ceil(chunk_len), parallel, |index| {
         let start = index * chunk_len;
         let end = (start + chunk_len).min(len);
         // Safety: chunk windows [start, end) are pairwise disjoint across indices
@@ -545,68 +464,28 @@ where
 /// the caller. `f` must be safe to call concurrently and tasks must touch
 /// pairwise-disjoint data.
 ///
-/// The determinism contract matches [`for_each_chunk`]: the index decomposition
-/// is `0..total` regardless of worker count, so as long as each output element is
-/// written by exactly one task in one fixed order, results are bitwise identical
-/// for every thread count. Called from inside a pool worker (nested parallelism),
-/// the indices run inline on that worker in ascending order.
+/// The determinism and cancellation contracts match [`for_each_chunk`]: the index
+/// decomposition is `0..total` regardless of worker count, so as long as each
+/// output element is written by exactly one task in one fixed order, results are
+/// bitwise identical for every thread count.
 pub fn for_each_task<F>(total: usize, parallel: bool, f: F)
 where
     F: Fn(usize) + Sync,
 {
-    let nested = IS_POOL_WORKER.with(|flag| flag.get());
-    let workers = if parallel && !nested { num_threads().min(total) } else { 1 };
-    let token = CancellationToken::current();
-    if workers <= 1 {
-        for index in 0..total {
-            if let Some(token) = &token {
-                if token.is_cancelled() {
-                    return;
-                }
-            }
-            f(index);
-        }
-        return;
-    }
-    run_on_pool(total, workers, &move |index: usize| {
-        if let Some(token) = &token {
-            if token.is_cancelled() {
-                return;
-            }
+    let (budget, token) =
+        EngineContext::with_current(|context| (context.threads(), context.cancellation().cloned()));
+    let workers = if parallel { budget.unwrap_or_else(default_threads).min(total) } else { 1 };
+    let task = |index: usize| {
+        if token.as_ref().is_some_and(CancellationToken::is_cancelled) {
+            return;
         }
         f(index);
-    });
-}
-
-/// Legacy dispatch: spawns scoped threads per call instead of using the persistent
-/// pool. Kept as the measured baseline for the pool's dispatch-overhead benchmarks
-/// (`pipeline_throughput`); kernels must not use it.
-pub fn for_each_chunk_scoped<T, F>(data: &mut [T], chunk_len: usize, parallel: bool, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    let chunk_len = chunk_len.max(1);
-    let n_chunks = data.len().div_ceil(chunk_len);
-    let workers = if parallel { num_threads().min(n_chunks) } else { 1 };
+    };
     if workers <= 1 {
-        for (index, chunk) in data.chunks_mut(chunk_len).enumerate() {
-            f(index, chunk);
-        }
-        return;
+        (0..total).for_each(task);
+    } else {
+        run_on_pool(total, workers, &task);
     }
-    let queue = Mutex::new(data.chunks_mut(chunk_len).enumerate());
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let next = queue.lock().expect("worker panicked holding queue").next();
-                match next {
-                    Some((index, chunk)) => f(index, chunk),
-                    None => break,
-                }
-            });
-        }
-    });
 }
 
 /// A raw pointer that may cross thread boundaries (the chunk decomposition above
@@ -627,33 +506,32 @@ unsafe impl<T: Send> Sync for SendPtr<T> {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::conv::ConvAlgo;
+
+    fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
+        EngineContext::new().with_threads(threads).scope(f)
+    }
 
     #[test]
     fn thread_count_is_configurable() {
-        let _guard = crate::test_sync::global_state_lock();
-        let original = num_threads();
-        set_num_threads(3);
-        assert_eq!(num_threads(), 3);
-        set_num_threads(0);
-        assert_eq!(num_threads(), 1, "zero clamps to one");
-        set_num_threads(original);
+        assert_eq!(with_threads(3, num_threads), 3);
+        assert_eq!(with_threads(0, num_threads), 1, "zero clamps to one");
+        assert_eq!(num_threads(), default_threads(), "outside a scope: the process default");
     }
 
     #[test]
     fn chunks_cover_all_data_serial_and_parallel() {
-        let _guard = crate::test_sync::global_state_lock();
-        let original = num_threads();
         for threads in [1usize, 4] {
-            set_num_threads(threads);
             let mut data = vec![0u64; 1003];
-            for_each_chunk(&mut data, 64, true, |index, chunk| {
-                for (offset, value) in chunk.iter_mut().enumerate() {
-                    *value = (index * 64 + offset) as u64;
-                }
+            with_threads(threads, || {
+                for_each_chunk(&mut data, 64, true, |index, chunk| {
+                    for (offset, value) in chunk.iter_mut().enumerate() {
+                        *value = (index * 64 + offset) as u64;
+                    }
+                })
             });
             assert!(data.iter().enumerate().all(|(i, &v)| v == i as u64));
         }
-        set_num_threads(original);
     }
 
     #[test]
@@ -667,35 +545,20 @@ mod tests {
     }
 
     #[test]
-    fn scoped_baseline_matches_pool_dispatch() {
-        let _guard = crate::test_sync::global_state_lock();
-        let original = num_threads();
-        set_num_threads(4);
-        let mut pooled = vec![0u32; 257];
-        let mut scoped = vec![0u32; 257];
-        for_each_chunk(&mut pooled, 16, true, |i, c| c.fill(i as u32 + 1));
-        for_each_chunk_scoped(&mut scoped, 16, true, |i, c| c.fill(i as u32 + 1));
-        assert_eq!(pooled, scoped);
-        set_num_threads(original);
-    }
-
-    #[test]
     fn nested_dispatch_runs_inline_without_deadlock() {
-        let _guard = crate::test_sync::global_state_lock();
-        let original = num_threads();
-        set_num_threads(4);
         let mut data = vec![0u64; 64];
-        for_each_chunk(&mut data, 8, true, |outer, chunk| {
-            let mut inner = vec![0u64; 32];
-            for_each_chunk(&mut inner, 4, true, |i, c| c.fill(i as u64));
-            let inner_sum: u64 = inner.iter().sum();
-            chunk.fill(outer as u64 * 1000 + inner_sum);
+        with_threads(4, || {
+            for_each_chunk(&mut data, 8, true, |outer, chunk| {
+                let mut inner = vec![0u64; 32];
+                for_each_chunk(&mut inner, 4, true, |i, c| c.fill(i as u64));
+                let inner_sum: u64 = inner.iter().sum();
+                chunk.fill(outer as u64 * 1000 + inner_sum);
+            })
         });
         let expect_inner: u64 = (0..8u64).map(|i| i * 4).sum();
         for (i, &v) in data.iter().enumerate() {
             assert_eq!(v, (i / 8) as u64 * 1000 + expect_inner);
         }
-        set_num_threads(original);
     }
 
     #[test]
@@ -710,43 +573,83 @@ mod tests {
 
     #[test]
     fn parallel_map_preserves_order_and_carries_caller_context() {
-        let _guard = crate::test_sync::global_state_lock();
-        let original = num_threads();
-        set_num_threads(4);
-        let caller = crate::context::EngineContext::new().with_algo(crate::conv::ConvAlgo::Direct);
+        let caller = EngineContext::new().with_threads(4).with_algo(ConvAlgo::Direct);
         // Batch >= threads forces the outer (pool-worker) path; every task must
         // still observe the caller's algorithm override and its inner budget.
         let observed = caller.scope(|| {
             parallel_map_indexed(16, 4, |index| {
-                let ctx = crate::context::EngineContext::current();
-                (index, ctx.algo, ctx.threads)
+                let ctx = EngineContext::current();
+                (index, ctx.algo(), ctx.threads())
             })
         });
         for (position, (index, algo, threads)) in observed.iter().enumerate() {
             assert_eq!(*index, position, "results must come back in index order");
-            assert_eq!(*algo, Some(crate::conv::ConvAlgo::Direct), "caller algo dropped");
+            assert_eq!(*algo, Some(ConvAlgo::Direct), "caller algo dropped");
             assert_eq!(*threads, Some(1), "outer batch must single-thread each task");
         }
         // Small batch: sequential path, full inner budget.
-        let observed = parallel_map_indexed(2, 4, |index| {
-            (index, crate::context::EngineContext::current().threads)
+        let observed = caller.scope(|| {
+            parallel_map_indexed(2, 4, |index| (index, EngineContext::current().threads()))
         });
         assert_eq!(observed, vec![(0, Some(4)), (1, Some(4))]);
-        set_num_threads(original);
+    }
+
+    #[test]
+    fn kernel_chunks_on_workers_see_the_submitter_context() {
+        let token = CancellationToken::new();
+        let caller = EngineContext::new()
+            .with_threads(4)
+            .with_algo(ConvAlgo::Winograd)
+            .with_chain_mode(crate::ChainMode::Off)
+            .with_cancellation(token.clone());
+        let mut seen = vec![(None, None, false); 64];
+        caller.scope(|| {
+            for_each_chunk(&mut seen, 1, true, |_, slot| {
+                let ctx = EngineContext::current();
+                slot[0] = (ctx.algo(), ctx.chain_mode(), ctx.cancellation().is_some());
+            })
+        });
+        for slot in seen {
+            assert_eq!(slot, (Some(ConvAlgo::Winograd), Some(crate::ChainMode::Off), true));
+        }
+    }
+
+    #[test]
+    fn pool_workers_count_allocations_against_the_submitter() {
+        const TASKS: usize = 64;
+        let before = EngineContext::allocations();
+        let threads = std::sync::Mutex::new(std::collections::HashSet::new());
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        with_threads(2, || {
+            for_each_task(TASKS, true, |_| {
+                EngineContext::record_allocation();
+                threads.lock().unwrap().insert(std::thread::current().id());
+                // Hold every task until a pool worker has joined, so the count
+                // provably includes work done off this thread.
+                while threads.lock().unwrap().len() < 2 && std::time::Instant::now() < deadline {
+                    std::thread::yield_now();
+                }
+            })
+        });
+        assert_eq!(threads.into_inner().unwrap().len(), 2, "a pool worker must have joined");
+        assert_eq!(
+            EngineContext::allocations() - before,
+            TASKS as u64,
+            "every task counts against the submitting context, whichever thread ran it"
+        );
     }
 
     #[test]
     fn isolated_map_contains_panics_to_their_own_slot() {
-        let _guard = crate::test_sync::global_state_lock();
-        let original = num_threads();
         for threads in [1usize, 2, 4] {
-            set_num_threads(threads);
             // Batch >= threads exercises the pool-worker path at 2 and 4.
-            let outcomes = parallel_map_isolated(8, threads, |index| {
-                if index == 3 {
-                    panic!("request {index} exploded");
-                }
-                index * 10
+            let outcomes = with_threads(threads, || {
+                parallel_map_isolated(8, threads, |index| {
+                    if index == 3 {
+                        panic!("request {index} exploded");
+                    }
+                    index * 10
+                })
             });
             for (index, outcome) in outcomes.iter().enumerate() {
                 if index == 3 {
@@ -761,70 +664,65 @@ mod tests {
                 }
             }
         }
-        set_num_threads(original);
     }
 
     #[test]
     fn isolated_map_leaves_the_pool_usable_and_scopes_clean() {
-        let _guard = crate::test_sync::global_state_lock();
-        let original = num_threads();
-        set_num_threads(4);
-        // A panicking task must not leak its EngineContext onto a pool worker:
+        // A panicking task must not leak a scope it entered onto a pool worker:
         // the next dispatch on the same workers observes no stale override.
         let _ = parallel_map_isolated(8, 4, |index| {
-            if index % 2 == 0 {
-                panic!("boom {index}");
-            }
-            index
+            EngineContext::new().with_algo(ConvAlgo::Direct).scope(|| {
+                if index % 2 == 0 {
+                    panic!("boom {index}");
+                }
+                index
+            })
         });
-        let contexts = parallel_map_indexed(8, 4, |_| crate::context::EngineContext::current());
-        for ctx in contexts {
-            assert_eq!(ctx.algo, None, "panicked task leaked scoped state onto a worker");
+        let contexts = parallel_map_indexed(8, 4, |_| EngineContext::current().algo());
+        for algo in contexts {
+            assert_eq!(algo, None, "panicked task leaked scoped state onto a worker");
         }
         // The pool itself still dispatches normally.
         let mut data = vec![0u64; 256];
-        for_each_chunk(&mut data, 16, true, |i, c| c.fill(i as u64));
+        with_threads(4, || for_each_chunk(&mut data, 16, true, |i, c| c.fill(i as u64)));
         assert!(data.iter().enumerate().all(|(i, &v)| v == (i / 16) as u64));
-        set_num_threads(original);
     }
 
     #[test]
     fn cancelled_token_skips_remaining_chunks() {
-        let _guard = crate::test_sync::global_state_lock();
-        let original = num_threads();
         for threads in [1usize, 4] {
-            set_num_threads(threads);
             // Pre-cancelled: no chunk body may run, serial or pooled.
             let token = CancellationToken::new();
             token.cancel();
+            let cancelled = EngineContext::new().with_threads(threads).with_cancellation(token);
             let mut data = vec![0u64; 128];
-            token.scope(|| {
+            cancelled.scope(|| {
                 for_each_chunk(&mut data, 8, true, |_, chunk| chunk.fill(7));
             });
             assert!(data.iter().all(|&v| v == 0), "cancelled dispatch ran a chunk");
             let ran = AtomicUsize::new(0);
-            token.scope(|| {
+            cancelled.scope(|| {
                 for_each_task(16, true, |_| {
                     ran.fetch_add(1, Ordering::Relaxed);
                 })
             });
             assert_eq!(ran.load(Ordering::Relaxed), 0);
             // Without cancellation the same scoped dispatch is unaffected.
-            let live = CancellationToken::new();
+            let live = EngineContext::new()
+                .with_threads(threads)
+                .with_cancellation(CancellationToken::new());
             live.scope(|| for_each_chunk(&mut data, 8, true, |_, chunk| chunk.fill(7)));
             assert!(data.iter().all(|&v| v == 7));
         }
-        set_num_threads(original);
     }
 
     #[test]
     fn isolated_map_reports_cancellation_as_task_errors() {
-        let _guard = crate::test_sync::global_state_lock();
-        let original = num_threads();
-        set_num_threads(4);
         let token = CancellationToken::new();
         token.cancel();
-        let outcomes = token.scope(|| parallel_map_isolated(6, 4, |index| index * 2));
+        let outcomes = EngineContext::new()
+            .with_cancellation(token)
+            .scope(|| parallel_map_isolated(6, 4, |index| index * 2));
         for outcome in &outcomes {
             let message = outcome.as_ref().expect_err("cancelled tasks must error, not run");
             assert!(message.contains("cancelled"), "got {message:?}");
@@ -832,14 +730,13 @@ mod tests {
         // A token that fires mid-task replaces that task's result with an error.
         let mid = CancellationToken::new();
         let inner = mid.clone();
-        let outcomes = mid.scope(|| {
+        let outcomes = EngineContext::new().with_cancellation(mid).scope(|| {
             parallel_map_isolated(1, 1, move |index| {
                 inner.cancel();
                 index
             })
         });
         assert!(outcomes[0].as_ref().is_err_and(|m| m.contains("mid-run")));
-        set_num_threads(original);
     }
 
     #[test]
@@ -854,16 +751,15 @@ mod tests {
 
     #[test]
     fn concurrent_submitters_share_the_pool() {
-        let _guard = crate::test_sync::global_state_lock();
-        let original = num_threads();
-        set_num_threads(4);
         let results: Vec<Vec<u64>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..3)
                 .map(|submitter| {
                     scope.spawn(move || {
                         let mut data = vec![0u64; 500];
-                        for_each_chunk(&mut data, 16, true, |i, c| {
-                            c.fill(submitter as u64 * 10_000 + i as u64)
+                        with_threads(4, || {
+                            for_each_chunk(&mut data, 16, true, |i, c| {
+                                c.fill(submitter as u64 * 10_000 + i as u64)
+                            })
                         });
                         data
                     })
@@ -876,6 +772,5 @@ mod tests {
                 assert_eq!(v, submitter as u64 * 10_000 + (pos / 16) as u64);
             }
         }
-        set_num_threads(original);
     }
 }

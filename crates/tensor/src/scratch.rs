@@ -10,33 +10,28 @@
 //! Arenas are thread-local, so the property depends on thread lifetime: with the
 //! persistent worker pool in [`parallel`](crate::parallel), worker threads — and
 //! therefore their arenas — survive across dispatches, and the zero-allocation
-//! property holds on workers too (verified via [`heap_allocations`] by the pool
-//! lifecycle tests). The old spawn-per-call dispatch re-allocated every arena on
-//! every parallel kernel.
+//! property holds on workers too.
+//!
+//! Every pool miss counts one allocation against the calling
+//! [`EngineContext`](crate::EngineContext)'s counter, read back with
+//! [`heap_allocations`]. A pool worker runs each job in its submitter's context,
+//! so the counter sees exactly one computation — the calling thread plus the
+//! workers serving it — and nothing another thread does at the same time.
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Process-wide count of heap allocations performed by [`take`] (pool misses).
-/// Steady-state kernels must not move this — the pool-lifecycle tests use it to
-/// verify that worker-side arenas persist across dispatches.
-static HEAP_ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+use crate::context::EngineContext;
 
-/// Total heap allocations [`take`] has performed process-wide since start-up.
+/// Heap allocations counted against the calling context so far: misses of this
+/// module's pools and of the activation [`arena`](crate::arena), on this thread
+/// and on every pool worker that ran a job for it.
 ///
-/// In steady state (after a warm-up pass has populated every participating
-/// thread's arena) this counter must stop advancing: that is the engine's
-/// zero-allocation property, which the persistent worker pool extends to worker
-/// threads.
+/// Read it before and after a computation: in steady state (after a warm-up
+/// pass has populated every participating thread's arena) the difference is
+/// zero — the engine's zero-allocation property. Outside every scope the
+/// counter is the calling thread's own.
 pub fn heap_allocations() -> u64 {
-    HEAP_ALLOCATIONS.load(Ordering::Relaxed)
-}
-
-/// Advances the shared allocation counter on behalf of another recycling pool
-/// (the activation arena in [`arena`](crate::arena)), so one counter pins the
-/// whole engine's zero-allocation steady state.
-pub(crate) fn record_external_allocation() {
-    HEAP_ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    EngineContext::allocations()
 }
 
 /// Retired buffers are only reused for requests at least this fraction of their
@@ -98,7 +93,7 @@ fn take_impl(len: usize, zero: bool) -> Vec<f32> {
             buffer
         }
         None => {
-            HEAP_ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+            EngineContext::record_allocation();
             vec![0.0; len]
         }
     }
@@ -107,9 +102,9 @@ fn take_impl(len: usize, zero: bool) -> Vec<f32> {
 thread_local! {
     /// Byte-buffer pool for the int8 engine's quantized im2col panels — separate
     /// from the f32 pool (a `Vec<f32>` cannot be reinterpreted as `Vec<u8>`
-    /// without an allocation-contract violation) but sharing the same
-    /// [`HEAP_ALLOCATIONS`] counter, so one counter pins the whole engine's
-    /// zero-allocation steady state across both numeric regimes.
+    /// without an allocation-contract violation) but counting its misses the
+    /// same way, so one counter pins the whole engine's zero-allocation steady
+    /// state across both numeric regimes.
     static BYTE_POOL: RefCell<Vec<Vec<u8>>> = const { RefCell::new(Vec::new()) };
 }
 
@@ -132,7 +127,7 @@ pub fn take_bytes(len: usize) -> Vec<u8> {
             buffer
         }
         None => {
-            HEAP_ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+            EngineContext::record_allocation();
             vec![0u8; len]
         }
     }

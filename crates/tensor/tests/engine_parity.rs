@@ -7,8 +7,8 @@
 //! across thread counts.
 
 use rescnn_tensor::{
-    conv2d_direct, conv2d_dispatch, conv2d_with_algo, gemm_packed, num_threads, select_algo,
-    set_num_threads, Conv2dParams, ConvAlgo, MatDims, Shape, Tensor, INT8_TOLERANCE,
+    conv2d_direct, conv2d_dispatch, conv2d_with_algo, gemm_packed, select_algo, Conv2dParams,
+    ConvAlgo, EngineContext, MatDims, Shape, Tensor, INT8_TOLERANCE,
 };
 
 const TOLERANCE: f32 = 1e-3;
@@ -198,7 +198,6 @@ fn every_algo_agrees_on_every_supported_shape() {
 /// accumulation order, so scheduling must never change results.
 #[test]
 fn multi_thread_results_are_bitwise_identical() {
-    let original = num_threads();
     let params = Conv2dParams::new(16, 32, 3, 1, 1);
     let input = Tensor::random_uniform(Shape::new(2, 16, 56, 56), 1.0, 11);
     let weight = Tensor::random_uniform(Shape::new(32, 16, 3, 3), 0.5, 12);
@@ -209,15 +208,17 @@ fn multi_thread_results_are_bitwise_identical() {
 
     let mut baselines: Option<(Tensor, Tensor, Tensor, Vec<f32>)> = None;
     for threads in [1usize, 2, 3, 8] {
-        set_num_threads(threads);
-        let dense = conv2d_dispatch(&input, &weight, None, &params).unwrap().0;
-        let pw = conv2d_dispatch(&input, &pw_weight, None, &pointwise).unwrap().0;
-        let dw = conv2d_dispatch(&input, &dw_weight, None, &depthwise).unwrap().0;
-        let dims = MatDims::new(61, 301, 97);
-        let a: Vec<f32> = (0..dims.m * dims.k).map(|i| (i as f32 * 0.11).sin()).collect();
-        let b: Vec<f32> = (0..dims.k * dims.n).map(|i| (i as f32 * 0.17).cos()).collect();
-        let mut gemm_out = vec![0.0f32; dims.m * dims.n];
-        gemm_packed(dims, &a, &b, &mut gemm_out);
+        let (dense, pw, dw, gemm_out) = EngineContext::new().with_threads(threads).scope(|| {
+            let dense = conv2d_dispatch(&input, &weight, None, &params).unwrap().0;
+            let pw = conv2d_dispatch(&input, &pw_weight, None, &pointwise).unwrap().0;
+            let dw = conv2d_dispatch(&input, &dw_weight, None, &depthwise).unwrap().0;
+            let dims = MatDims::new(61, 301, 97);
+            let a: Vec<f32> = (0..dims.m * dims.k).map(|i| (i as f32 * 0.11).sin()).collect();
+            let b: Vec<f32> = (0..dims.k * dims.n).map(|i| (i as f32 * 0.17).cos()).collect();
+            let mut gemm_out = vec![0.0f32; dims.m * dims.n];
+            gemm_packed(dims, &a, &b, &mut gemm_out);
+            (dense, pw, dw, gemm_out)
+        });
         match &baselines {
             None => baselines = Some((dense, pw, dw, gemm_out)),
             Some((dense0, pw0, dw0, gemm0)) => {
@@ -236,22 +237,20 @@ fn multi_thread_results_are_bitwise_identical() {
             }
         }
     }
-    set_num_threads(original);
 }
 
 /// Repeated runs on the same thread count must also be identical (no dependence on
 /// work-queue scheduling order).
 #[test]
 fn repeated_runs_are_bitwise_identical() {
-    let original = num_threads();
-    set_num_threads(4);
     let params = Conv2dParams::new(24, 48, 3, 2, 1);
     let input = Tensor::random_uniform(Shape::chw(24, 64, 64), 1.0, 21);
     let weight = Tensor::random_uniform(Shape::new(48, 24, 3, 3), 0.5, 22);
-    let first = conv2d_dispatch(&input, &weight, None, &params).unwrap().0;
-    for _ in 0..5 {
-        let again = conv2d_dispatch(&input, &weight, None, &params).unwrap().0;
-        assert_eq!(first.as_slice(), again.as_slice());
-    }
-    set_num_threads(original);
+    EngineContext::new().with_threads(4).scope(|| {
+        let first = conv2d_dispatch(&input, &weight, None, &params).unwrap().0;
+        for _ in 0..5 {
+            let again = conv2d_dispatch(&input, &weight, None, &params).unwrap().0;
+            assert_eq!(first.as_slice(), again.as_slice());
+        }
+    });
 }

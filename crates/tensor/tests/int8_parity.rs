@@ -16,18 +16,10 @@
 
 use rescnn_tensor::{
     conv2d_im2col_packed, conv2d_int8, int8_microkernel_dispatch, int8_microkernel_reference,
-    int8_unit_error, scratch, select_algo, set_num_threads, tensor_range, ActQuant, Conv2dParams,
-    ConvAlgo, ConvEpilogue, FusedActivation, PreparedLayer, Shape, Tensor, INT8_TOLERANCE,
+    int8_unit_error, scratch, select_algo, tensor_range, ActQuant, Conv2dParams, ConvAlgo,
+    ConvEpilogue, EngineContext, FusedActivation, PreparedLayer, Shape, Tensor, INT8_TOLERANCE,
     INT8_WEIGHT_QMAX,
 };
-
-/// Serializes tests that mutate the process-wide thread count or observe the
-/// process-wide allocation counter.
-static GLOBAL_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-fn lock() -> std::sync::MutexGuard<'static, ()> {
-    GLOBAL_LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
 
 fn sample(params: &Conv2dParams, n: usize, h: usize, w: usize, seed: u64) -> (Tensor, Tensor) {
     let input = Tensor::random_uniform(Shape::new(n, params.in_channels, h, w), 1.0, seed);
@@ -167,7 +159,6 @@ fn tolerance_against_packed_im2col_across_shapes_and_paddings() {
 
 #[test]
 fn bitwise_deterministic_across_thread_counts() {
-    let _guard = lock();
     // Large enough to clear the engine's parallelism threshold.
     let params = Conv2dParams::new(32, 48, 3, 1, 1);
     let (input, weight) = sample(&params, 1, 57, 61, 7);
@@ -179,18 +170,18 @@ fn bitwise_deterministic_across_thread_counts() {
 
     let mut outputs = Vec::new();
     for threads in [1usize, 2, 4] {
-        set_num_threads(threads);
-        prepared
-            .forward_with_algo_into(
-                &input,
-                ConvAlgo::Int8,
-                ConvEpilogue::activation(FusedActivation::Relu),
-                &mut out,
-            )
-            .unwrap();
+        EngineContext::new().with_threads(threads).scope(|| {
+            prepared
+                .forward_with_algo_into(
+                    &input,
+                    ConvAlgo::Int8,
+                    ConvEpilogue::activation(FusedActivation::Relu),
+                    &mut out,
+                )
+                .unwrap()
+        });
         outputs.push(out.as_slice().to_vec());
     }
-    set_num_threads(1);
     assert_eq!(outputs[0], outputs[1], "1 vs 2 threads must agree bitwise");
     assert_eq!(outputs[0], outputs[2], "1 vs 4 threads must agree bitwise");
 
@@ -214,7 +205,6 @@ fn bitwise_deterministic_across_thread_counts() {
 /// forward allocates nothing on any thread.
 #[test]
 fn warm_quantized_path_does_not_allocate() {
-    let _guard = lock();
     let params = Conv2dParams::new(32, 64, 3, 1, 1);
     let (input, weight) = sample(&params, 1, 96, 96, 11);
     let mut prepared = PreparedLayer::new(weight, None, params).unwrap();

@@ -1,7 +1,7 @@
-//! Lifecycle tests for the persistent worker pool: resize up/down mid-run, idle
-//! shutdown and reinitialization, panic-in-worker propagation (a panicking kernel
-//! task must never deadlock the queue), and persistence of worker-side scratch
-//! arenas (the zero-allocation property on worker threads).
+//! Lifecycle tests for the persistent worker pool: idle shutdown and
+//! reinitialization, panic-in-worker propagation (a panicking kernel task must
+//! never deadlock the queue), and persistence of worker-side scratch arenas (the
+//! zero-allocation property on worker threads).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
@@ -9,79 +9,45 @@ use std::time::{Duration, Instant};
 
 use rescnn_tensor::parallel::{for_each_chunk, pool_size};
 use rescnn_tensor::{
-    conv2d_dispatch, num_threads, scratch, set_num_threads, shutdown_pool, Conv2dParams,
-    EngineContext, Shape, Tensor,
+    conv2d_dispatch, num_threads, scratch, shutdown_pool, Conv2dParams, EngineContext, Shape,
+    Tensor,
 };
 
-/// Serializes tests in this binary: they mutate the process-global thread count
-/// and observe process-global pool/scratch counters.
+/// Serializes the tests that shut the shared pool down or assert its size: a
+/// concurrent shutdown would retire the workers another test is measuring.
 static LOCK: Mutex<()> = Mutex::new(());
 
 fn lock() -> MutexGuard<'static, ()> {
     LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// Runs one parallel dispatch and returns the filled buffer.
-fn dispatch_stamp(len: usize, chunk: usize) -> Vec<u64> {
+/// Runs one parallel dispatch at a budget of `threads` and returns the filled
+/// buffer.
+fn dispatch_stamp(threads: usize, len: usize, chunk: usize) -> Vec<u64> {
     let mut data = vec![0u64; len];
-    for_each_chunk(&mut data, chunk, true, |index, chunk| {
-        for (offset, value) in chunk.iter_mut().enumerate() {
-            *value = (index * 1000 + offset) as u64;
-        }
+    EngineContext::new().with_threads(threads).scope(|| {
+        for_each_chunk(&mut data, chunk, true, |index, chunk| {
+            for (offset, value) in chunk.iter_mut().enumerate() {
+                *value = (index * 1000 + offset) as u64;
+            }
+        })
     });
     data
-}
-
-/// Spin-waits until the pool census reaches `predicate`, so tests tolerate the
-/// lazy (wakeup-driven) worker retirement.
-fn await_pool<F: Fn(usize) -> bool>(predicate: F) -> usize {
-    let deadline = Instant::now() + Duration::from_secs(5);
-    loop {
-        let size = pool_size();
-        if predicate(size) || Instant::now() > deadline {
-            return size;
-        }
-        std::thread::yield_now();
-    }
-}
-
-#[test]
-fn resize_up_and_down_mid_run_keeps_results_identical() {
-    let _guard = lock();
-    let original = num_threads();
-    set_num_threads(1);
-    let baseline = dispatch_stamp(4096, 64);
-
-    set_num_threads(4);
-    assert_eq!(dispatch_stamp(4096, 64), baseline, "grown pool changed results");
-    assert!(pool_size() >= 3, "dispatch at 4 threads should have grown the pool");
-
-    set_num_threads(2);
-    assert_eq!(dispatch_stamp(4096, 64), baseline, "shrunk pool changed results");
-    let settled = await_pool(|size| size <= 1);
-    assert!(settled <= 1, "excess workers should retire after shrink, saw {settled}");
-
-    set_num_threads(6);
-    assert_eq!(dispatch_stamp(4096, 64), baseline, "regrown pool changed results");
-    assert!(pool_size() >= 5, "pool should regrow after shrink");
-    set_num_threads(original);
 }
 
 #[test]
 fn idle_shutdown_and_reinit() {
     let _guard = lock();
-    let original = num_threads();
-    set_num_threads(3);
-    let before = dispatch_stamp(2048, 32);
+    let before = dispatch_stamp(3, 2048, 32);
+    assert_eq!(dispatch_stamp(1, 2048, 32), before, "pooled and serial dispatch must agree");
     assert!(pool_size() >= 2);
 
     shutdown_pool();
     assert_eq!(pool_size(), 0, "shutdown must join every worker");
 
     // The next dispatch transparently reinitializes the pool.
-    assert_eq!(dispatch_stamp(2048, 32), before);
+    assert_eq!(dispatch_stamp(3, 2048, 32), before);
     assert!(pool_size() >= 2, "pool should respawn after shutdown");
-    set_num_threads(original);
 }
 
 #[test]
@@ -99,9 +65,7 @@ fn repeated_shutdown_is_idempotent() {
 #[test]
 fn shutdown_drain_reports_and_finishes_queued_work() {
     let _guard = lock();
-    let original = num_threads();
-    set_num_threads(4);
-    dispatch_stamp(512, 8); // warm the pool
+    dispatch_stamp(4, 512, 8); // warm the pool
     let report = shutdown_pool();
     assert_eq!(report.jobs_in_flight, 0, "idle pool has nothing to drain");
     assert!(!report.superseded, "no dispatch raced this drain");
@@ -116,7 +80,7 @@ fn shutdown_drain_reports_and_finishes_queued_work() {
     std::thread::scope(|scope| {
         let submitter = scope.spawn(|| {
             while !stop.load(Ordering::Relaxed) {
-                let data = dispatch_stamp(2048, 16);
+                let data = dispatch_stamp(4, 2048, 16);
                 assert!(
                     data.iter().enumerate().all(|(i, &v)| v == ((i / 16) * 1000 + i % 16) as u64),
                     "a drain abandoned chunks of an in-flight dispatch"
@@ -138,7 +102,6 @@ fn shutdown_drain_reports_and_finishes_queued_work() {
     let report = shutdown_pool();
     assert!(!report.superseded, "final drain has no competing dispatch");
     assert_eq!(pool_size(), 0);
-    set_num_threads(original);
 }
 
 /// A dispatch racing a shutdown revives the pool; the shutdown must return
@@ -146,14 +109,12 @@ fn shutdown_drain_reports_and_finishes_queued_work() {
 #[test]
 fn shutdown_concurrent_with_dispatch_does_not_hang() {
     let _guard = lock();
-    let original = num_threads();
-    set_num_threads(4);
     let stop = std::sync::atomic::AtomicBool::new(false);
     std::thread::scope(|scope| {
         let submitter = scope.spawn(|| {
             let mut checksum = 0u64;
             while !stop.load(Ordering::Relaxed) {
-                checksum = checksum.wrapping_add(dispatch_stamp(512, 8)[11]);
+                checksum = checksum.wrapping_add(dispatch_stamp(4, 512, 8)[11]);
             }
             checksum
         });
@@ -166,57 +127,57 @@ fn shutdown_concurrent_with_dispatch_does_not_hang() {
     // With the submitter gone, a final shutdown fully drains the pool.
     shutdown_pool();
     assert_eq!(pool_size(), 0);
-    set_num_threads(original);
 }
 
 #[test]
 fn panic_in_worker_propagates_without_deadlocking() {
     let _guard = lock();
-    let original = num_threads();
-    set_num_threads(4);
-
+    let four = EngineContext::new().with_threads(4);
     let executed = AtomicUsize::new(0);
     let mut data = vec![0u8; 640];
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        for_each_chunk(&mut data, 10, true, |index, _chunk| {
-            executed.fetch_add(1, Ordering::Relaxed);
-            if index == 7 {
-                panic!("kernel task exploded");
-            }
+        four.scope(|| {
+            for_each_chunk(&mut data, 10, true, |index, _chunk| {
+                executed.fetch_add(1, Ordering::Relaxed);
+                if index == 7 {
+                    panic!("kernel task exploded");
+                }
+            })
         });
     }));
     let payload = outcome.expect_err("worker panic must propagate to the submitter");
     let message = payload.downcast_ref::<&str>().copied().unwrap_or_default();
     assert_eq!(message, "kernel task exploded");
     assert!(executed.load(Ordering::Relaxed) >= 1);
+    assert!(pool_size() >= 3, "workers must survive a task panic");
 
     // The queue must be fully drained and the pool healthy: both a plain dispatch
     // and a real convolution still run to completion afterwards.
-    let stamped = dispatch_stamp(1024, 16);
+    let stamped = dispatch_stamp(4, 1024, 16);
     assert!(stamped.iter().enumerate().all(|(i, &v)| v == ((i / 16) * 1000 + i % 16) as u64));
     let params = Conv2dParams::new(8, 16, 3, 1, 1);
     let input = Tensor::random_uniform(Shape::chw(8, 48, 48), 1.0, 5);
     let weight = Tensor::random_uniform(Shape::new(16, 8, 3, 3), 0.5, 6);
-    conv2d_dispatch(&input, &weight, None, &params).expect("engine healthy after panic");
-    set_num_threads(original);
+    four.scope(|| conv2d_dispatch(&input, &weight, None, &params))
+        .expect("engine healthy after panic");
 }
 
 #[test]
 fn consecutive_panics_do_not_poison_the_pool() {
     let _guard = lock();
-    let original = num_threads();
-    set_num_threads(3);
     for round in 0..4 {
         let mut data = vec![0u8; 300];
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            for_each_chunk(&mut data, 4, true, |index, _| {
-                assert!(index != 20, "boom {round}");
+            EngineContext::new().with_threads(3).scope(|| {
+                for_each_chunk(&mut data, 4, true, |index, _| {
+                    assert!(index != 20, "boom {round}");
+                })
             });
         }));
         assert!(outcome.is_err(), "round {round} must propagate its panic");
     }
-    assert!(!dispatch_stamp(512, 8).is_empty());
-    set_num_threads(original);
+    assert!(pool_size() >= 2, "workers must survive repeated task panics");
+    assert!(!dispatch_stamp(3, 512, 8).is_empty());
 }
 
 /// Worker threads persist across dispatches, so their thread-local scratch arenas
@@ -225,29 +186,28 @@ fn consecutive_panics_do_not_poison_the_pool() {
 #[test]
 fn worker_scratch_arenas_persist_across_dispatches() {
     let _guard = lock();
-    let original = num_threads();
-    set_num_threads(4);
-
     // Large enough that every engine path parallelizes and every worker
     // repeatedly claims chunks.
     let params = Conv2dParams::new(32, 64, 3, 1, 1);
     let input = Tensor::random_uniform(Shape::chw(32, 96, 96), 1.0, 7);
     let weight = Tensor::random_uniform(Shape::new(64, 32, 3, 3), 0.5, 8);
-    for _ in 0..5 {
-        conv2d_dispatch(&input, &weight, None, &params).unwrap();
-    }
+    EngineContext::new().with_threads(4).scope(|| {
+        for _ in 0..5 {
+            conv2d_dispatch(&input, &weight, None, &params).unwrap();
+        }
+        assert!(pool_size() >= 3, "the measurement must cover pool workers");
 
-    let warm = scratch::heap_allocations();
-    for _ in 0..5 {
-        conv2d_dispatch(&input, &weight, None, &params).unwrap();
-    }
-    let steady = scratch::heap_allocations();
-    assert_eq!(
-        steady - warm,
-        0,
-        "steady-state convolutions must not allocate scratch on any thread"
-    );
-    set_num_threads(original);
+        let warm = scratch::heap_allocations();
+        for _ in 0..5 {
+            conv2d_dispatch(&input, &weight, None, &params).unwrap();
+        }
+        let steady = scratch::heap_allocations();
+        assert_eq!(
+            steady - warm,
+            0,
+            "steady-state convolutions must not allocate scratch on any thread"
+        );
+    });
 }
 
 /// Per-call contexts bound pool participation even when the shared pool is larger
@@ -255,10 +215,8 @@ fn worker_scratch_arenas_persist_across_dispatches() {
 #[test]
 fn context_budget_is_respected_alongside_a_larger_pool() {
     let _guard = lock();
-    let original = num_threads();
-    set_num_threads(8);
     // Grow the pool to 7 workers.
-    dispatch_stamp(4096, 8);
+    dispatch_stamp(8, 4096, 8);
     assert!(pool_size() >= 7);
 
     EngineContext::new().with_threads(2).scope(|| {
@@ -276,5 +234,4 @@ fn context_budget_is_respected_alongside_a_larger_pool() {
         let peak = concurrent_peak.load(Ordering::SeqCst);
         assert!(peak <= 2, "context budget of 2 was exceeded: {peak} concurrent tasks");
     });
-    set_num_threads(original);
 }

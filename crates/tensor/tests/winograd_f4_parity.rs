@@ -14,16 +14,9 @@
 
 use rescnn_tensor::{
     conv2d_im2col_packed, conv2d_winograd_f4, conv2d_winograd_f4_prepared, conv2d_with_algo,
-    set_num_threads, winograd_f4_unit_error, Conv2dParams, ConvAlgo, FusedActivation, Shape,
-    Tensor, WinogradFilter, WINOGRAD_F4_TOLERANCE,
+    winograd_f4_unit_error, Conv2dParams, ConvAlgo, EngineContext, FusedActivation, Shape, Tensor,
+    WinogradFilter, WINOGRAD_F4_TOLERANCE,
 };
-
-/// Serializes tests that mutate the process-wide thread count.
-static GLOBAL_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-fn lock() -> std::sync::MutexGuard<'static, ()> {
-    GLOBAL_LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
 
 fn sample(params: &Conv2dParams, n: usize, h: usize, w: usize, seed: u64) -> (Tensor, Tensor) {
     let input = Tensor::random_uniform(Shape::new(n, params.in_channels, h, w), 1.0, seed);
@@ -103,7 +96,6 @@ fn tolerance_against_packed_im2col_across_shapes_and_paddings() {
 
 #[test]
 fn bitwise_deterministic_across_thread_counts() {
-    let _guard = lock();
     // Large enough to clear the engine's parallelism threshold, with output
     // extents not divisible by 4 so edge tiles are in play.
     let params = Conv2dParams::new(32, 48, 3, 1, 1);
@@ -113,8 +105,7 @@ fn bitwise_deterministic_across_thread_counts() {
 
     let mut outputs = Vec::new();
     for threads in [1usize, 2, 4] {
-        set_num_threads(threads);
-        outputs.push(
+        outputs.push(EngineContext::new().with_threads(threads).scope(|| {
             conv2d_winograd_f4_prepared(
                 &input,
                 &filter,
@@ -122,10 +113,9 @@ fn bitwise_deterministic_across_thread_counts() {
                 &params,
                 FusedActivation::Relu,
             )
-            .unwrap(),
-        );
+            .unwrap()
+        }));
     }
-    set_num_threads(1);
     assert_eq!(outputs[0].as_slice(), outputs[1].as_slice(), "1 vs 2 threads must agree bitwise");
     assert_eq!(outputs[0].as_slice(), outputs[2].as_slice(), "1 vs 4 threads must agree bitwise");
 
